@@ -1,10 +1,11 @@
 """PARALLEL-CC (Algorithm 1): distributed-dataflow parallel Louvain for LambdaCC.
 
-The edge set is the distributed dataset (hash-partitioned by ``src`` so a
-vertex's out-edges are co-located); the O(n) vertex state (assignment,
-cluster weights ``K_c``, vertex weights ``k``, frontier masks) is broadcast
-each BEST-MOVES iteration. One iteration is exactly one ``mapInPandas``
-pass over the cached edge partitions:
+The edge set is the distributed dataset, kept resident per level as cached
+CSR blocks (hash-partitioned by ``src`` so a vertex's out-edges are
+co-located, sorted by ``src`` once; see ``state``); the O(n) vertex state
+(assignment, cluster weights ``K_c``, vertex weights ``k``, frontier masks)
+is broadcast each BEST-MOVES iteration. One iteration is exactly one
+Spark job, a ``mapPartitions`` pass over the level's blocks:
 
 - **synchronous** (§3.2.1): every frontier vertex evaluates the appendix
   move-delta formula against the same broadcast snapshot; all moves are
@@ -33,36 +34,37 @@ Every vertex may also *detach* into a fresh singleton cluster (label
 """
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pandas as pd
-from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
-from ..graphs.ops import GraphData, degree_array
+# The engine takes weighted degrees from level0; degree_array stays importable
+# here because the benchmark's tracer wraps par_louvain.degree_array.
+from ..graphs.ops import GraphData, degree_array  # noqa: F401
 from .config import CCConfig
 from .state import (
+    Block,
     LevelGraph,
     LevelStats,
     RunStats,
     Timer,
+    aggregate,
     cc_objective,
     cluster_weights,
+    coarse_block,
+    coarsened,
     compress,
     densify,
     flatten,
     level0,
-    map_edge_partitions,
+    route,
 )
 
-_MOVES_SCHEMA = StructType(
-    [
-        StructField("v", LongType(), False),
-        StructField("c", LongType(), False),
-        StructField("delta", DoubleType(), False),
-    ]
-)
-
-_EMPTY_MOVES = pd.DataFrame({"v": [], "c": [], "delta": []}).astype(
-    {"v": "int64", "c": "int64", "delta": "float64"}
+_NO_MOVES = (
+    np.empty(0, dtype="int64"),
+    np.empty(0, dtype="int64"),
+    np.empty(0, dtype="float64"),
 )
 
 
@@ -79,31 +81,29 @@ def _participates(vs: np.ndarray, seed: int) -> np.ndarray:
     return (h >> np.uint64(40)).astype("float64") / float(1 << 24) < 0.75
 
 
-def _active_mask_rows(
-    src: np.ndarray,
-    dst: np.ndarray,
-    n: int,
+def _active_verts(
+    b: Block,
     all_active: bool,
     aux: np.ndarray | None,
     extra: np.ndarray | None,
 ) -> np.ndarray:
-    """Per-vertex activity resolved locally: v is active if the frontier is
-    dense, if v is in ``extra`` (skipped vertices / affected-cluster
-    members), or if some neighbor of v is in ``aux`` (movers / members)."""
+    """Activity of the block's vertices, resolved locally (mask over ``b.verts``).
+
+    v is active if the frontier is dense, if v is in ``extra`` (skipped
+    vertices / affected-cluster members), or if some neighbor of v is in
+    ``aux`` (movers / members)."""
     if all_active:
-        return np.ones(n, dtype=bool)
-    act = np.zeros(n, dtype=bool)
-    if aux is not None:
-        hit = aux[dst]
-        if hit.any():
-            act[src[hit]] = True
+        return np.ones(len(b.verts), dtype=bool)
+    act = np.zeros(len(b.verts), dtype=bool)
+    if aux is not None and len(b.dst):
+        act |= np.logical_or.reduceat(aux[b.dst], b.indptr[:-1])
     if extra is not None:
-        act |= extra
+        act |= extra[b.verts]
     return act
 
 
-def _sync_partition_moves(
-    pdf: pd.DataFrame,
+def _sync_block_moves(
+    b: Block,
     a: np.ndarray,
     K: np.ndarray,
     k: np.ndarray,
@@ -113,54 +113,46 @@ def _sync_partition_moves(
     all_active: bool,
     aux: np.ndarray | None,
     extra: np.ndarray | None,
-) -> pd.DataFrame:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Best move per active vertex against the broadcast snapshot."""
-    src = pdf["src"].to_numpy()
-    dst = pdf["dst"].to_numpy()
-    act = _active_mask_rows(src, dst, len(a), all_active, aux, extra)
-    sel = act[src]
-    if not sel.any():
-        return _EMPTY_MOVES
-    src = src[sel]
-    dst = dst[sel]
-    w = pdf["w"].to_numpy()[sel]
-    grp = (
-        pd.DataFrame({"v": src, "c": a[dst], "w": w})
-        .groupby(["v", "c"], sort=False)["w"]
-        .sum()
-        .reset_index()
-    )
-    v = grp["v"].to_numpy()
-    c = grp["c"].to_numpy()
-    wvc = grp["w"].to_numpy()
-    cv = a[v]
-    kv = k[v]
-    own_rows = c == cv
-    own_map = pd.Series(wvc[own_rows], index=v[own_rows])
-    own_per_row = pd.Series(v).map(own_map).fillna(0.0).to_numpy()
-    base = own_per_row - lam * kv * (K[cv] - kv)
-    cand = ~own_rows
-    delta = (wvc - lam * kv * K[c]) - base
-    # Detach-to-singleton candidate, one per distinct vertex.
-    uv = np.unique(v)
-    own_uv = pd.Series(uv).map(own_map).fillna(0.0).to_numpy()
+    act = _active_verts(b, all_active, aux, extra)
+    if not act.any():
+        return _NO_MOVES
+    sel = np.repeat(act, np.diff(b.indptr))
+    # Weight from each active vertex to each neighboring cluster; rows come
+    # out grouped by vertex, clusters ascending within a vertex.
+    v, c, wvc = aggregate(b.src[sel], a[b.dst[sel]], b.w[sel])
+    uv, first = np.unique(v, return_index=True)
+    gi = np.repeat(np.arange(len(uv)), np.diff(np.append(first, len(v))))
+    cuv = a[uv]
     kuv = k[uv]
-    base_uv = own_uv - lam * kuv * (K[a[uv]] - kuv)
-    all_v = np.concatenate([v[cand], uv])
-    all_c = np.concatenate([c[cand], U + uv])
-    all_d = np.concatenate([delta[cand], -base_uv])
-    # Deterministic tie-break toward the smallest cluster id (Figure 1's
-    # synchronous pathology relies on ties resolving identically).
-    dfc = pd.DataFrame({"v": all_v, "c": all_c, "delta": all_d}).sort_values(
-        ["v", "c"], kind="stable"
-    )
-    best = dfc.loc[dfc.groupby("v")["delta"].idxmax()]
-    best = best[best["delta"] > tol]
-    return best.astype({"v": "int64", "c": "int64", "delta": "float64"})
+    own_rows = c == cuv[gi]
+    own_uv = np.zeros(len(uv))
+    own_uv[gi[own_rows]] = wvc[own_rows]
+    base_uv = own_uv - lam * kuv * (K[cuv] - kuv)
+    delta = (wvc - lam * kuv[gi] * K[c]) - base_uv[gi]
+    cand = ~own_rows
+    g_c, c_c, d_c = gi[cand], c[cand], delta[cand]
+    # Largest delta per vertex; ties break toward the smallest cluster id
+    # (Figure 1's synchronous pathology relies on ties resolving identically).
+    order = np.lexsort((c_c, -d_c, g_c))
+    g_s = g_c[order]
+    top = order[np.append(True, g_s[1:] != g_s[:-1])] if len(order) else order
+    best_d = np.full(len(uv), -np.inf)
+    best_c = np.full(len(uv), -1, dtype="int64")
+    best_d[g_c[top]] = d_c[top]
+    best_c[g_c[top]] = c_c[top]
+    # Detach-to-singleton wins only when strictly better: its label U + v
+    # is larger than every real cluster id.
+    iso = -base_uv > best_d
+    best_d[iso] = -base_uv[iso]
+    best_c[iso] = U + uv[iso]
+    keep = best_d > tol
+    return uv[keep], best_c[keep], best_d[keep]
 
 
-def _async_partition_moves(
-    pdf: pd.DataFrame,
+def _async_block_moves(
+    b: Block,
     a: np.ndarray,
     K: np.ndarray,
     k: np.ndarray,
@@ -173,26 +165,19 @@ def _async_partition_moves(
     seed: int,
     n: int,
     sample: bool = True,
-) -> pd.DataFrame:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sequential random-order moves with immediate partition-local updates."""
-    src = pdf["src"].to_numpy()
-    dst = pdf["dst"].to_numpy()
-    w = pdf["w"].to_numpy()
-    order_idx = np.argsort(src, kind="stable")
-    src_s, dst_s, w_s = src[order_idx], dst[order_idx], w[order_idx]
-    uniq_src, starts = np.unique(src_s, return_index=True)
-    ends = np.append(starts[1:], len(src_s))
-    act = _active_mask_rows(src_s, dst_s, n, all_active, aux, extra)
-    in_frontier = act[uniq_src]
+    verts, indptr, dst_s, w_s = b.verts, b.indptr, b.dst, b.w
+    in_frontier = _active_verts(b, all_active, aux, extra)
     participate = (
-        _participates(uniq_src, seed) if sample else np.ones(len(uniq_src), dtype=bool)
+        _participates(verts, seed) if sample else np.ones(len(verts), dtype=bool)
     )
     active = np.flatnonzero(in_frontier & participate)
     if len(active) == 0:
-        return _EMPTY_MOVES
+        return _NO_MOVES
     # Partition-deterministic order: seed mixes the config seed, the
     # iteration, and this partition's smallest vertex id.
-    rng = np.random.default_rng((seed * 1_000_003 + int(uniq_src[0])) % (2**63))
+    rng = np.random.default_rng((seed * 1_000_003 + int(verts[0])) % (2**63))
     rng.shuffle(active)
     local_a = a.copy()
     local_K = np.zeros(U + n + 1)
@@ -201,9 +186,9 @@ def _async_partition_moves(
     mv_c: list[int] = []
     mv_d: list[float] = []
     for i in active:
-        v = int(uniq_src[i])
-        dsts = dst_s[starts[i] : ends[i]]
-        ws = w_s[starts[i] : ends[i]]
+        v = int(verts[i])
+        dsts = dst_s[indptr[i] : indptr[i + 1]]
+        ws = w_s[indptr[i] : indptr[i + 1]]
         cd = local_a[dsts]
         uniq, inv = np.unique(cd, return_inverse=True)
         wvc = np.bincount(inv, weights=ws)
@@ -227,12 +212,10 @@ def _async_partition_moves(
             mv_v.append(v)
             mv_c.append(best_c)
             mv_d.append(float(best_d))
-    return pd.DataFrame(
-        {
-            "v": np.asarray(mv_v, "int64"),
-            "c": np.asarray(mv_c, "int64"),
-            "delta": np.asarray(mv_d, "float64"),
-        }
+    return (
+        np.asarray(mv_v, "int64"),
+        np.asarray(mv_c, "int64"),
+        np.asarray(mv_d, "float64"),
     )
 
 
@@ -249,27 +232,26 @@ def _move_pass(
     extra: np.ndarray | None,
     sample: bool = True,
 ) -> pd.DataFrame:
-    """One BEST-MOVES iteration: broadcast state, mapInPandas, collect moves."""
-    sc = level.edges.sparkSession.sparkContext
-    bc = sc.broadcast((assign, K, level.k, aux, extra))
+    """One BEST-MOVES iteration: broadcast state, one job over the level's blocks, collect moves."""
+    bc = level.rdd.context.broadcast((assign, K, level.k, aux, extra))
     n = level.n
     use_async = cfg.async_moves
     tol = cfg.move_tol
 
-    def fn(pdf: pd.DataFrame) -> pd.DataFrame:
+    def fn(b: Block) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         a, Kb, kb, auxb, extrab = bc.value
         if use_async:
-            return _async_partition_moves(
-                pdf, a, Kb, kb, lam, U, tol, all_active, auxb, extrab, it_seed, n, sample
+            return _async_block_moves(
+                b, a, Kb, kb, lam, U, tol, all_active, auxb, extrab, it_seed, n, sample
             )
-        return _sync_partition_moves(
-            pdf, a, Kb, kb, lam, U, tol, all_active, auxb, extrab
-        )
+        return _sync_block_moves(b, a, Kb, kb, lam, U, tol, all_active, auxb, extrab)
 
     try:
-        return map_edge_partitions(level.edges, fn, _MOVES_SCHEMA).toPandas()
+        parts = level.rdd.map(fn).collect()
     finally:
         bc.destroy()
+    v, c, d = (np.concatenate(col) for col in zip(_NO_MOVES, *parts))
+    return pd.DataFrame({"v": v, "c": c, "delta": d})
 
 
 def best_moves(
@@ -359,54 +341,27 @@ def _compress_driver_python(
 ) -> LevelGraph:
     """Single-threaded compression (NetworKit stand-in, DESIGN.md §3).
 
-    Collects the relabeled edges and aggregates them in an interpreted
-    python loop — modeling a compression step that is *not* efficiently
-    parallelized, which is exactly the difference the paper credits for
-    its speedup over NetworKit.
+    Collects the level's blocks and aggregates the relabeled edges in an
+    interpreted python loop — modeling a compression step that is *not*
+    efficiently parallelized, which is exactly the difference the paper
+    credits for its speedup over NetworKit.
     """
-    spark = level.edges.sparkSession
-    pdf = level.edges.toPandas()
-    src = assign_dense[pdf["src"].to_numpy()]
-    dst = assign_dense[pdf["dst"].to_numpy()]
-    w = pdf["w"].to_numpy()
+    blocks = level.rdd.collect()
+    src = np.concatenate([assign_dense[b.src] for b in blocks] or [np.empty(0, "int64")])
+    dst = np.concatenate([assign_dense[b.dst] for b in blocks] or [np.empty(0, "int64")])
+    w = np.concatenate([b.w for b in blocks] or [np.empty(0)])
     agg: dict[tuple[int, int], float] = {}
     for s, d, x in zip(src.tolist(), dst.tolist(), w.tolist()):
         key = (s, d)
         agg[key] = agg.get(key, 0.0) + x
-    rows_s, rows_d, rows_w = [], [], []
-    self_w = np.zeros(n_clusters)
-    for (s, d), x in agg.items():
-        if s == d:
-            self_w[s] += x / 2.0
-        else:
-            rows_s.append(s)
-            rows_d.append(d)
-            rows_w.append(x)
-    from ..graphs.ops import EDGE_SCHEMA
-
-    new_edges = (
-        spark.createDataFrame(
-            pd.DataFrame(
-                {
-                    "src": np.asarray(rows_s, "int64"),
-                    "dst": np.asarray(rows_d, "int64"),
-                    "w": np.asarray(rows_w, "float64"),
-                }
-            ),
-            schema=EDGE_SCHEMA,
-        )
-        .repartition(partitions, "src")
-        .persist()
-    )
-    m_new = new_edges.count()
-    selfw = np.bincount(assign_dense, weights=level.selfw, minlength=n_clusters) + self_w
-    return LevelGraph(
-        edges=new_edges,
-        n=n_clusters,
-        k=np.bincount(assign_dense, weights=level.k, minlength=n_clusters),
-        sq=np.bincount(assign_dense, weights=level.sq, minlength=n_clusters),
-        selfw=selfw,
-        m_directed=m_new,
+    s_out = np.fromiter((s for s, _ in agg), "int64", len(agg))
+    d_out = np.fromiter((d for _, d in agg), "int64", len(agg))
+    w_out = np.fromiter(agg.values(), "float64", len(agg))
+    pieces = dict(route(s_out, d_out, w_out, partitions))
+    none = (s_out[:0], d_out[:0], w_out[:0])
+    child = [coarse_block(*pieces.get(p, none)) for p in range(partitions)]
+    return coarsened(
+        level, assign_dense, n_clusters, level.rdd.context.parallelize(child, partitions)
     )
 
 
@@ -436,9 +391,11 @@ def _recurse(
         else:
             child = compress(level, dense, nc, partitions=cfg.partitions)
     lstats.time_compress = t.s
-    child_assign = _recurse(child, depth + 1, lam, cfg, stats, compress_mode)
+    try:
+        child_assign = _recurse(child, depth + 1, lam, cfg, stats, compress_mode)
+    finally:
+        child.unpersist()
     assign = flatten(dense, child_assign)
-    child.unpersist()
     if cfg.refine:
         with Timer() as t:
             assign, rmoves, riters = best_moves(level, assign, lam, cfg, seed_base + 500)
@@ -453,25 +410,28 @@ def parallel_cc(
 
     ``cfg.objective`` selects the vertex-weight/λ regime (§2); the
     reported objective is the raw CC value for ``"cc"`` and modularity
-    ``Q = CC/(2W)`` for ``"modularity"``.
+    ``Q = CC/(2W)`` for ``"modularity"``. The caller's edges are only
+    read, and every level built here is released before returning, also
+    when the call fails.
     """
-    deg = degree_array(g)
-    two_w = float(deg.sum())
-    if cfg.objective == "modularity":
-        k0 = deg
-        lam = cfg.resolution / two_w if two_w > 0 else 0.0
-    else:
-        k0 = np.ones(g.n)
-        lam = cfg.resolution
-    stats = RunStats(algo=f"par-{cfg.objective}", lam=lam, two_w=two_w)
-    with Timer() as t:
-        lvl0 = level0(g, k0, partitions=cfg.partitions)
+    modularity = cfg.objective == "modularity"
+    t0 = time.perf_counter()
+    # Modularity's vertex weights are the weighted degrees (k=None).
+    lvl0 = level0(g, None if modularity else np.ones(g.n), partitions=cfg.partitions)
+    try:
+        two_w = float(lvl0.deg.sum())
+        if modularity:
+            lam = cfg.resolution / two_w if two_w > 0 else 0.0
+        else:
+            lam = cfg.resolution
+        stats = RunStats(algo=f"par-{cfg.objective}", lam=lam, two_w=two_w)
         assign = _recurse(lvl0, 0, lam, cfg, stats, compress_mode)
-    stats.total_time = t.s
-    stats.objective = cc_objective(lvl0, assign, lam)
+        stats.total_time = time.perf_counter() - t0
+        stats.objective = cc_objective(lvl0, assign, lam)
+    finally:
+        lvl0.unpersist()
     stats.reported_objective = (
-        stats.objective / two_w if cfg.objective == "modularity" and two_w > 0 else stats.objective
+        stats.objective / two_w if modularity and two_w > 0 else stats.objective
     )
     stats.n_clusters = int(assign.max()) + 1 if len(assign) else 0
-    lvl0.unpersist()
     return assign, stats

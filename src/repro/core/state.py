@@ -1,8 +1,11 @@
 """Level-graph state shared by the sequential and parallel engines.
 
-A *level* is one graph in the Louvain coarsening hierarchy. Per-vertex
-driver state (O(n) numpy arrays) rides alongside the distributed edge
-data:
+A *level* is one graph in the Louvain coarsening hierarchy. Its edges stay
+resident in Spark as one persisted RDD holding one CSR :class:`Block` per
+partition: the partition's rows sorted by ``src``, with the row range of
+each source vertex. A vertex's rows all live in partition
+``partition_of(v, P)``, where Spark's ``repartition(P, "src")`` puts them.
+Per-vertex driver state (O(n) numpy arrays) rides alongside:
 
 - ``k``     — LambdaCC vertex weight of the (super)vertex,
 - ``sq``    — sum of squared *original* vertex weights collapsed into it,
@@ -22,30 +25,199 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 import pandas as pd
+from pyspark import RDD, StorageLevel
+from pyspark.serializers import NoOpSerializer
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
-from pyspark.sql.types import DoubleType, LongType, StructField, StructType
+from pyspark.sql.types import StructType
 
 from ..graphs.ops import EDGE_SCHEMA, GraphData
+
+_NO_IDS = np.empty(0, dtype="int64")
+_NO_WEIGHTS = np.empty(0, dtype="float64")
+
+
+class Block(NamedTuple):
+    """One partition of a level's edges, sorted by ``src`` (CSR over ``verts``)."""
+
+    verts: np.ndarray  # distinct source vertices, ascending
+    indptr: np.ndarray  # rows of verts[i] are [indptr[i], indptr[i + 1])
+    src: np.ndarray
+    dst: np.ndarray
+    w: np.ndarray
+    # Self loops split off when the block was built by compression: the
+    # supervertex and its directed self-loop weight.
+    loop_v: np.ndarray = _NO_IDS
+    loop_w: np.ndarray = _NO_WEIGHTS
+
+
+def make_block(
+    src: np.ndarray,
+    dst: np.ndarray,
+    w: np.ndarray,
+    loop_v: np.ndarray = _NO_IDS,
+    loop_w: np.ndarray = _NO_WEIGHTS,
+) -> Block:
+    """Sort rows by ``src`` (stable, so a vertex keeps its row order) and index them."""
+    order = np.argsort(src, kind="stable")
+    src, dst, w = src[order], dst[order], w[order]
+    verts, starts = np.unique(src, return_index=True)
+    indptr = np.append(starts, len(src)).astype("int64")
+    return Block(verts, indptr, src, dst, w, loop_v, loop_w)
+
+
+def _rotl(x: np.ndarray, r: int) -> np.ndarray:
+    return (x << np.uint32(r)) | (x >> np.uint32(32 - r))
+
+
+def _murmur_mix(h: np.ndarray, k: np.ndarray) -> np.ndarray:
+    k = _rotl(k * np.uint32(0xCC9E2D51), 15) * np.uint32(0x1B873593)
+    return _rotl(h ^ k, 13) * np.uint32(5) + np.uint32(0xE6546B64)
+
+
+def partition_of(v: np.ndarray, partitions: int) -> np.ndarray:
+    """Partition that Spark's ``repartition(partitions, "src")`` puts long id ``v`` in.
+
+    Spark places a row at ``pmod(murmur3_x86_32(v, seed=42), partitions)``;
+    a long hashes as its low, then its high 32-bit word.
+    """
+    u = np.asarray(v, dtype="int64").view("uint64")
+    h = np.full(u.shape, 42, dtype="uint32")
+    h = _murmur_mix(h, (u & np.uint64(0xFFFFFFFF)).astype("uint32"))
+    h = _murmur_mix(h, (u >> np.uint64(32)).astype("uint32"))
+    h ^= np.uint32(8)
+    h ^= h >> np.uint32(16)
+    h *= np.uint32(0x85EBCA6B)
+    h ^= h >> np.uint32(13)
+    h *= np.uint32(0xC2B2AE35)
+    h ^= h >> np.uint32(16)
+    return h.view("int32").astype("int64") % partitions
+
+
+def route(
+    src: np.ndarray, dst: np.ndarray, w: np.ndarray, partitions: int
+) -> Iterator[tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """Split rows into ``(partition, (src, dst, w))`` pieces by the partition of ``src``."""
+    p = partition_of(src, partitions)
+    order = np.argsort(p, kind="stable")
+    bounds = np.searchsorted(p[order], np.arange(partitions + 1))
+    for i in range(partitions):
+        idx = order[bounds[i] : bounds[i + 1]]
+        if len(idx):
+            yield i, (src[idx], dst[idx], w[idx])
+
+
+def aggregate(
+    src: np.ndarray, dst: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sum ``w`` per distinct ``(src, dst)``; rows come out sorted by src, then dst."""
+    order = np.lexsort((dst, src))
+    src, dst, w = src[order], dst[order], w[order]
+    if len(src) == 0:
+        return src, dst, w
+    new = np.ones(len(src), dtype=bool)
+    new[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+    starts = np.flatnonzero(new)
+    return src[starts], dst[starts], np.add.reduceat(w, starts)
+
+
+def _concat(pieces: Iterable[tuple[int, tuple[np.ndarray, ...]]]) -> tuple[np.ndarray, ...]:
+    cols = [piece for _, piece in pieces]
+    if not cols:
+        return _NO_IDS, _NO_IDS, _NO_WEIGHTS
+    return tuple(np.concatenate(c) for c in zip(*cols))
+
+
+def _regroup(pieces: RDD, partitions: int, build: Callable[..., Block]) -> RDD:
+    """Shuffle ``(partition, rows)`` pieces so each partition builds one block."""
+    return pieces.partitionBy(partitions, lambda p: p).mapPartitions(
+        lambda it: [build(*_concat(it))], preservesPartitioning=True
+    )
+
+
+def coarse_block(src: np.ndarray, dst: np.ndarray, w: np.ndarray) -> Block:
+    """Re-aggregate the pieces of one partition and split off the self loops."""
+    src, dst, w = aggregate(src, dst, w)
+    loop = src == dst
+    keep = ~loop
+    return make_block(src[keep], dst[keep], w[keep], src[loop], w[loop])
 
 
 @dataclass
 class LevelGraph:
-    """One level of the coarsening hierarchy (Spark edges + driver state)."""
+    """One level of the coarsening hierarchy (resident edge blocks + driver state)."""
 
-    edges: DataFrame  # symmetric, no self loops, hash-partitioned by src
+    rdd: RDD  # persisted, one Block per partition
     n: int
     k: np.ndarray
     sq: np.ndarray
     selfw: np.ndarray
-    m_directed: int = 0  # cached row count of ``edges``
+    deg: np.ndarray  # weighted degree of each vertex over this level's edges
+    m_directed: int = 0  # number of directed edge rows
+
+    @property
+    def edges(self) -> DataFrame:
+        """The edge rows as an ``(src, dst, w)`` DataFrame, built on demand (not cached)."""
+        rows = self.rdd.flatMap(lambda b: zip(b.src.tolist(), b.dst.tolist(), b.w.tolist()))
+        return SparkSession.builder.getOrCreate().createDataFrame(rows, EDGE_SCHEMA)
 
     def unpersist(self) -> None:
-        self.edges.unpersist()
+        self.rdd.unpersist()
+
+
+def _summary(b: Block) -> tuple:
+    deg = np.add.reduceat(b.w, b.indptr[:-1]) if len(b.w) else _NO_WEIGHTS
+    return len(b.src), b.verts, deg, b.loop_v, b.loop_w
+
+
+def _persist(blocks: RDD, n: int) -> tuple[RDD, int, np.ndarray, np.ndarray]:
+    """Persist a block RDD in one Spark job that also summarizes it.
+
+    Returns the persisted RDD, its row count, each vertex's weighted degree
+    and each vertex's split-off directed self-loop weight.
+    """
+    blocks = blocks.persist(StorageLevel.MEMORY_AND_DISK)
+    try:
+        parts = blocks.map(_summary).collect()
+    except BaseException:
+        blocks.unpersist()
+        raise
+    deg = np.zeros(n)
+    loops = np.zeros(n)
+    m = 0
+    for rows, verts, vdeg, loop_v, loop_w in parts:
+        m += rows
+        deg[verts] = vdeg
+        loops[loop_v] = loop_w
+    return blocks, m, deg, loops
+
+
+def coarsened(
+    level: LevelGraph, assign_dense: np.ndarray, n_clusters: int, blocks: RDD
+) -> LevelGraph:
+    """Persist ``blocks`` as the level that ``assign_dense`` coarsens ``level`` into.
+
+    A directed self loop counts each unordered intra edge twice, so half of
+    its weight joins ``selfw``.
+    """
+
+    def fold(x: np.ndarray) -> np.ndarray:
+        return np.bincount(assign_dense, weights=x, minlength=n_clusters)
+
+    rdd, m, deg, loops = _persist(blocks, n_clusters)
+    return LevelGraph(
+        rdd=rdd,
+        n=n_clusters,
+        k=fold(level.k),
+        sq=fold(level.sq),
+        selfw=fold(level.selfw) + loops / 2.0,
+        deg=deg,
+        m_directed=m,
+    )
 
 
 def densify(assign: np.ndarray) -> tuple[np.ndarray, int]:
@@ -59,23 +231,43 @@ def cluster_weights(assign_dense: np.ndarray, k: np.ndarray, n_clusters: int) ->
     return np.bincount(assign_dense, weights=k, minlength=n_clusters)
 
 
+def _arrow_columns(messages: Iterator[bytes]) -> Iterator[tuple[np.ndarray, ...]]:
+    """A partition's Arrow record-batch messages as one ``(src, dst, w)`` triple."""
+    import pyarrow as pa
+
+    schema = pa.schema([("src", pa.int64()), ("dst", pa.int64()), ("w", pa.float64())])
+    batches = [pa.ipc.read_record_batch(pa.py_buffer(m), schema) for m in messages]
+    table = pa.Table.from_batches(batches, schema)
+    yield tuple(table.column(c).to_numpy() for c in schema.names)
+
+
 def level0(
-    g: GraphData, k: np.ndarray, *, partitions: int
+    g: GraphData, k: np.ndarray | None = None, *, partitions: int
 ) -> LevelGraph:
-    """Wrap an input graph as the hierarchy's level 0 (selfw=0, sq=k²)."""
-    edges = g.edges
-    if edges.rdd.getNumPartitions() != partitions:
-        edges = edges.repartition(partitions, "src")
-    edges = edges.persist()
-    m = edges.count()  # materialize the cache
-    return LevelGraph(
-        edges=edges,
-        n=g.n,
-        k=k.astype("float64"),
-        sq=(k.astype("float64") ** 2),
-        selfw=np.zeros(g.n),
-        m_directed=m,
+    """Build the hierarchy's level 0 from an input graph in one Spark job (selfw=0, sq=k²).
+
+    The caller's edges are only read; their storage level is left alone.
+    Edges that already have ``partitions`` partitions are taken to be
+    hash-partitioned by ``src``, as ``to_spark`` leaves them; otherwise the
+    rows are routed with :func:`partition_of`. ``k=None`` takes the weighted
+    degrees as vertex weights (modularity's ``k_v``).
+    """
+    edges = g.edges.select([F.col(f.name).cast(f.dataType) for f in EDGE_SCHEMA.fields])
+    # The JVM-internal Dataset.toArrowBatchRdd hands each partition to Python
+    # as Arrow batches in a single hop: cheaper than rows, and it runs in the
+    # same Python worker pool as every later pass (a mapInArrow hop would
+    # start a second pool).
+    jrdd = edges._jdf.toArrowBatchRdd().toJavaRDD()
+    cols = RDD(jrdd, edges.sparkSession.sparkContext, NoOpSerializer()).mapPartitions(
+        _arrow_columns
     )
+    if cols.getNumPartitions() == partitions:
+        blocks = cols.map(lambda c: make_block(*c))
+    else:
+        blocks = _regroup(cols.flatMap(lambda c: route(*c, partitions)), partitions, make_block)
+    rdd, m, deg, _ = _persist(blocks, g.n)
+    k = (deg if k is None else k).astype("float64")
+    return LevelGraph(rdd=rdd, n=g.n, k=k, sq=k**2, selfw=np.zeros(g.n), deg=deg, m_directed=m)
 
 
 def map_edge_partitions(
@@ -85,10 +277,10 @@ def map_edge_partitions(
 ) -> DataFrame:
     """mapInPandas with whole-partition semantics.
 
-    Arrow hands mapInPandas a partition as a *chunk iterator*; the move
-    computation needs all edges of a vertex at once (they are co-located
-    because edges are hash-partitioned by src), so chunks are
-    concatenated before calling ``fn``.
+    Arrow hands mapInPandas a partition as a *chunk iterator*; a vertex
+    program needs all edges of a vertex at once (they are co-located when
+    edges are hash-partitioned by src), so chunks are concatenated before
+    calling ``fn``.
     """
 
     def runner(it: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
@@ -100,24 +292,16 @@ def map_edge_partitions(
     return edges.mapInPandas(runner, schema=schema)
 
 
-_SUM_SCHEMA = StructType([StructField("s", DoubleType(), False)])
+def intra_weight(level: LevelGraph, assign: np.ndarray) -> float:
+    """Σ w over *directed* edge rows whose endpoints share a cluster (one Spark job)."""
+    bc = level.rdd.context.broadcast(assign)
 
-
-def intra_weight(edges: DataFrame, assign: np.ndarray) -> float:
-    """Σ w over *directed* edge rows whose endpoints share a cluster."""
-    sc = edges.sparkSession.sparkContext
-    bc = sc.broadcast(assign)
-
-    def partial(pdf: pd.DataFrame) -> pd.DataFrame:
+    def partial(b: Block) -> float:
         a = bc.value
-        same = a[pdf["src"].to_numpy()] == a[pdf["dst"].to_numpy()]
-        return pd.DataFrame({"s": [float(pdf["w"].to_numpy()[same].sum())]})
+        return float(b.w[a[b.src] == a[b.dst]].sum())
 
     try:
-        out = map_edge_partitions(edges, partial, _SUM_SCHEMA).agg(
-            F.sum("s").alias("s")
-        ).first()
-        return float(out["s"] or 0.0)
+        return float(sum(level.rdd.map(partial).collect()))
     finally:
         bc.destroy()
 
@@ -130,7 +314,7 @@ def cc_objective(level: LevelGraph, assign: np.ndarray, lam: float) -> float:
     """
     dense, nc = densify(assign)
     K = cluster_weights(dense, level.k, nc)
-    intra = intra_weight(level.edges, dense)
+    intra = intra_weight(level, dense)
     return float(
         intra + 2.0 * level.selfw.sum() - lam * ((K**2).sum() - level.sq.sum())
     )
@@ -139,45 +323,25 @@ def cc_objective(level: LevelGraph, assign: np.ndarray, lam: float) -> float:
 def compress(
     level: LevelGraph, assign_dense: np.ndarray, n_clusters: int, *, partitions: int
 ) -> LevelGraph:
-    """PARALLEL-COMPRESS: coarsen the level by a dense clustering.
+    """PARALLEL-COMPRESS: coarsen the level by a dense clustering, in one Spark job.
 
-    Endpoint relabeling is a broadcast map; edge aggregation is a
-    Catalyst ``groupBy(src, dst).sum(w)`` shuffle — the dataflow analog
-    of the paper's work-efficient parallel semisort compression.
+    Each block is relabeled by the broadcast clustering and pre-aggregated
+    locally; its rows are shuffled by target partition (``partitionBy`` on
+    whole arrays) and re-aggregated into the child's blocks, whose self
+    loops go to ``selfw`` — the dataflow analog of the paper's
+    work-efficient parallel semisort compression.
     """
-    sc = level.edges.sparkSession.sparkContext
-    bc = sc.broadcast(assign_dense)
+    bc = level.rdd.context.broadcast(assign_dense)
 
-    def relabel(pdf: pd.DataFrame) -> pd.DataFrame:
+    def pieces(b: Block):
         a = bc.value
-        return pd.DataFrame(
-            {
-                "src": a[pdf["src"].to_numpy()],
-                "dst": a[pdf["dst"].to_numpy()],
-                "w": pdf["w"].to_numpy(),
-            }
-        )
+        return route(*aggregate(a[b.src], a[b.dst], b.w), partitions)
 
-    relabeled = map_edge_partitions(level.edges, relabel, EDGE_SCHEMA)
-    agg = relabeled.groupBy("src", "dst").agg(F.sum("w").alias("w"))
-    new_edges = (
-        agg.where(F.col("src") != F.col("dst"))
-        .repartition(partitions, "src")
-        .persist()
-    )
-    m_new = new_edges.count()  # materialize before reading self loops
-    self_pdf = agg.where(F.col("src") == F.col("dst")).toPandas()
-    bc.destroy()
-
-    selfw = np.bincount(assign_dense, weights=level.selfw, minlength=n_clusters)
-    if len(self_pdf):
-        # Directed self-loop sums count each unordered intra edge twice.
-        selfw[self_pdf["src"].to_numpy()] += self_pdf["w"].to_numpy() / 2.0
-    k_new = np.bincount(assign_dense, weights=level.k, minlength=n_clusters)
-    sq_new = np.bincount(assign_dense, weights=level.sq, minlength=n_clusters)
-    return LevelGraph(
-        edges=new_edges, n=n_clusters, k=k_new, sq=sq_new, selfw=selfw, m_directed=m_new
-    )
+    try:
+        blocks = _regroup(level.rdd.flatMap(pieces), partitions, coarse_block)
+        return coarsened(level, assign_dense, n_clusters, blocks)
+    finally:
+        bc.destroy()
 
 
 def flatten(assign: np.ndarray, assign_coarse: np.ndarray) -> np.ndarray:

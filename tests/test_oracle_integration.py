@@ -37,7 +37,9 @@ class TestIntraWeightOracle:
     def test_matches_duckdb(self, graph_pair, seed):
         g, gd = graph_pair
         assign = random_assign(g.n, 7, seed)
-        got = intra_weight(gd.edges, assign)
+        lvl = level0(gd, np.ones(g.n), partitions=4)
+        got = intra_weight(lvl, assign)
+        lvl.unpersist()
         sym = _sym_pdf(g)
         sym["cs"] = assign[sym["src"].to_numpy()]
         sym["cd"] = assign[sym["dst"].to_numpy()]
