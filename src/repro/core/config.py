@@ -28,7 +28,8 @@ class CCConfig:
     refine: bool = True  # §3.2.3: multi-level refinement
     max_levels: int = 20
     seed: int = 0
-    partitions: int = 8  # edge partitions == max concurrent "threads"
+    # P logical edge blocks (the async "threads"), run in min(P, cores) Spark tasks
+    partitions: int = 8
     move_tol: float = 1e-9  # positive-delta threshold for a move
 
     def __post_init__(self) -> None:

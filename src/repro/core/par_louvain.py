@@ -1,8 +1,9 @@
 """PARALLEL-CC (Algorithm 1): distributed-dataflow parallel Louvain for LambdaCC.
 
 The edge set is the distributed dataset, kept resident per level as cached
-CSR blocks (hash-partitioned by ``src`` so a vertex's out-edges are
-co-located, sorted by ``src`` once; see ``state``); the O(n) vertex state
+CSR blocks, one per logical partition (hash-partitioned by ``src`` so a
+vertex's out-edges are co-located, sorted by ``src`` once; P logical
+blocks, run in min(P, cores) tasks; see ``state``); the O(n) vertex state
 (assignment, cluster weights ``K_c``, vertex weights ``k``, frontier masks)
 is broadcast each BEST-MOVES iteration. One iteration is exactly one
 Spark job, a ``mapPartitions`` pass over the level's blocks:
@@ -58,6 +59,7 @@ from .state import (
     densify,
     flatten,
     level0,
+    regroup,
     route,
 )
 
@@ -346,7 +348,7 @@ def _compress_driver_python(
     efficiently parallelized, which is exactly the difference the paper
     credits for its speedup over NetworKit.
     """
-    blocks = level.rdd.collect()
+    blocks = sorted(level.rdd.collect(), key=lambda b: b.part)
     src = np.concatenate([assign_dense[b.src] for b in blocks] or [np.empty(0, "int64")])
     dst = np.concatenate([assign_dense[b.dst] for b in blocks] or [np.empty(0, "int64")])
     w = np.concatenate([b.w for b in blocks] or [np.empty(0)])
@@ -357,12 +359,8 @@ def _compress_driver_python(
     s_out = np.fromiter((s for s, _ in agg), "int64", len(agg))
     d_out = np.fromiter((d for _, d in agg), "int64", len(agg))
     w_out = np.fromiter(agg.values(), "float64", len(agg))
-    pieces = dict(route(s_out, d_out, w_out, partitions))
-    none = (s_out[:0], d_out[:0], w_out[:0])
-    child = [coarse_block(*pieces.get(p, none)) for p in range(partitions)]
-    return coarsened(
-        level, assign_dense, n_clusters, level.rdd.context.parallelize(child, partitions)
-    )
+    pieces = level.rdd.context.parallelize(list(route(s_out, d_out, w_out, partitions)))
+    return coarsened(level, assign_dense, n_clusters, regroup(pieces, partitions, coarse_block))
 
 
 def _recurse(
@@ -424,7 +422,9 @@ def parallel_cc(
             lam = cfg.resolution / two_w if two_w > 0 else 0.0
         else:
             lam = cfg.resolution
-        stats = RunStats(algo=f"par-{cfg.objective}", lam=lam, two_w=two_w)
+        stats = RunStats(
+            algo=f"par-{cfg.objective}", lam=lam, two_w=two_w, tasks=lvl0.rdd.getNumPartitions()
+        )
         assign = _recurse(lvl0, 0, lam, cfg, stats, compress_mode)
         stats.total_time = time.perf_counter() - t0
         stats.objective = cc_objective(lvl0, assign, lam)

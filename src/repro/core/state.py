@@ -1,10 +1,15 @@
 """Level-graph state shared by the sequential and parallel engines.
 
-A *level* is one graph in the Louvain coarsening hierarchy. Its edges stay
-resident in Spark as one persisted RDD holding one CSR :class:`Block` per
-partition: the partition's rows sorted by ``src``, with the row range of
-each source vertex. A vertex's rows all live in partition
-``partition_of(v, P)``, where Spark's ``repartition(P, "src")`` puts them.
+A *level* is one graph in the Louvain coarsening hierarchy. Its edges are
+split into P = ``cfg.partitions`` *logical* partitions, the engine's
+"threads": a vertex's rows all live in partition ``partition_of(v, P)``,
+where Spark's ``repartition(P, "src")`` puts them. Each logical partition
+is one CSR :class:`Block` (its rows sorted by ``src``, with the row range
+of each source vertex). P logical blocks, run in min(P, cores) tasks: the
+blocks stay resident as one persisted RDD with S = ``task_count(P)`` Spark
+partitions, block ``p`` in Spark partition ``p * S // P`` (``level0`` keeps
+Spark's own grouping when it coalesces its input), so every per-block job
+is one wave of S tasks.
 Per-vertex driver state (O(n) numpy arrays) rides alongside:
 
 - ``k``     — LambdaCC vertex weight of the (super)vertex,
@@ -25,11 +30,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 import pandas as pd
-from pyspark import RDD, StorageLevel
+from pyspark import RDD, SparkContext, StorageLevel
 from pyspark.serializers import NoOpSerializer
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
@@ -42,7 +47,7 @@ _NO_WEIGHTS = np.empty(0, dtype="float64")
 
 
 class Block(NamedTuple):
-    """One partition of a level's edges, sorted by ``src`` (CSR over ``verts``)."""
+    """One logical partition of a level's edges, sorted by ``src`` (CSR over ``verts``)."""
 
     verts: np.ndarray  # distinct source vertices, ascending
     indptr: np.ndarray  # rows of verts[i] are [indptr[i], indptr[i + 1])
@@ -53,6 +58,7 @@ class Block(NamedTuple):
     # supervertex and its directed self-loop weight.
     loop_v: np.ndarray = _NO_IDS
     loop_w: np.ndarray = _NO_WEIGHTS
+    part: int = 0  # the logical partition p in [0, P)
 
 
 def make_block(
@@ -61,13 +67,15 @@ def make_block(
     w: np.ndarray,
     loop_v: np.ndarray = _NO_IDS,
     loop_w: np.ndarray = _NO_WEIGHTS,
+    *,
+    part: int = 0,
 ) -> Block:
     """Sort rows by ``src`` (stable, so a vertex keeps its row order) and index them."""
     order = np.argsort(src, kind="stable")
     src, dst, w = src[order], dst[order], w[order]
     verts, starts = np.unique(src, return_index=True)
     indptr = np.append(starts, len(src)).astype("int64")
-    return Block(verts, indptr, src, dst, w, loop_v, loop_w)
+    return Block(verts, indptr, src, dst, w, loop_v, loop_w, part)
 
 
 def _rotl(x: np.ndarray, r: int) -> np.ndarray:
@@ -80,8 +88,10 @@ def _murmur_mix(h: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 def partition_of(v: np.ndarray, partitions: int) -> np.ndarray:
-    """Partition that Spark's ``repartition(partitions, "src")`` puts long id ``v`` in.
+    """Logical partition that Spark's ``repartition(partitions, "src")`` puts long id ``v`` in.
 
+    This is the block (the engine's "thread") that owns ``v``'s rows; the
+    P logical blocks run in ``task_count(P)`` = min(P, cores) Spark tasks.
     Spark places a row at ``pmod(murmur3_x86_32(v, seed=42), partitions)``;
     a long hashes as its low, then its high 32-bit word.
     """
@@ -125,33 +135,51 @@ def aggregate(
     return src[starts], dst[starts], np.add.reduceat(w, starts)
 
 
-def _concat(pieces: Iterable[tuple[int, tuple[np.ndarray, ...]]]) -> tuple[np.ndarray, ...]:
-    cols = [piece for _, piece in pieces]
-    if not cols:
-        return _NO_IDS, _NO_IDS, _NO_WEIGHTS
-    return tuple(np.concatenate(c) for c in zip(*cols))
+def _concat(pieces: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
+    return tuple(np.concatenate(c) for c in zip(*pieces))
 
 
-def _regroup(pieces: RDD, partitions: int, build: Callable[..., Block]) -> RDD:
-    """Shuffle ``(partition, rows)`` pieces so each partition builds one block."""
-    return pieces.partitionBy(partitions, lambda p: p).mapPartitions(
-        lambda it: [build(*_concat(it))], preservesPartitioning=True
+def task_count(sc: SparkContext, partitions: int) -> int:
+    """Spark partitions (tasks per job) that carry a level's ``partitions`` blocks.
+
+    min(P, cores): one wave of tasks per pass, however many logical blocks.
+    """
+    return min(partitions, sc.defaultParallelism)
+
+
+def regroup(pieces: RDD, partitions: int, build: Callable[..., Block]) -> RDD:
+    """Shuffle ``(partition, rows)`` pieces into one block per logical partition.
+
+    Logical partition ``p`` goes to Spark partition ``p * S // P``; each task
+    builds the blocks of the logical partitions it receives rows for, in
+    the order their pieces arrive.
+    """
+    tasks = task_count(pieces.context, partitions)
+
+    def build_blocks(it: Iterator[tuple[int, tuple[np.ndarray, ...]]]) -> list[Block]:
+        groups: dict[int, list] = {}
+        for p, piece in it:
+            groups.setdefault(p, []).append(piece)
+        return [build(*_concat(groups[p]), part=p) for p in sorted(groups)]
+
+    return pieces.partitionBy(tasks, lambda p: p * tasks // partitions).mapPartitions(
+        build_blocks, preservesPartitioning=True
     )
 
 
-def coarse_block(src: np.ndarray, dst: np.ndarray, w: np.ndarray) -> Block:
+def coarse_block(src: np.ndarray, dst: np.ndarray, w: np.ndarray, *, part: int) -> Block:
     """Re-aggregate the pieces of one partition and split off the self loops."""
     src, dst, w = aggregate(src, dst, w)
     loop = src == dst
     keep = ~loop
-    return make_block(src[keep], dst[keep], w[keep], src[loop], w[loop])
+    return make_block(src[keep], dst[keep], w[keep], src[loop], w[loop], part=part)
 
 
 @dataclass
 class LevelGraph:
     """One level of the coarsening hierarchy (resident edge blocks + driver state)."""
 
-    rdd: RDD  # persisted, one Block per partition
+    rdd: RDD  # persisted: one Block per logical partition, task_count(P) Spark partitions
     n: int
     k: np.ndarray
     sq: np.ndarray
@@ -248,8 +276,10 @@ def level0(
 
     The caller's edges are only read; their storage level is left alone.
     Edges that already have ``partitions`` partitions are taken to be
-    hash-partitioned by ``src``, as ``to_spark`` leaves them; otherwise the
-    rows are routed with :func:`partition_of`. ``k=None`` takes the weighted
+    hash-partitioned by ``src``, as ``to_spark`` leaves them: input partition
+    ``p`` becomes block ``p``, and the blocks are coalesced into
+    :func:`task_count` Spark partitions without a shuffle. Otherwise the rows
+    are routed with :func:`partition_of`. ``k=None`` takes the weighted
     degrees as vertex weights (modularity's ``k_v``).
     """
     edges = g.edges.select([F.col(f.name).cast(f.dataType) for f in EDGE_SCHEMA.fields])
@@ -258,13 +288,14 @@ def level0(
     # same Python worker pool as every later pass (a mapInArrow hop would
     # start a second pool).
     jrdd = edges._jdf.toArrowBatchRdd().toJavaRDD()
-    cols = RDD(jrdd, edges.sparkSession.sparkContext, NoOpSerializer()).mapPartitions(
-        _arrow_columns
-    )
+    sc = edges.sparkSession.sparkContext
+    cols = RDD(jrdd, sc, NoOpSerializer()).mapPartitions(_arrow_columns)
     if cols.getNumPartitions() == partitions:
-        blocks = cols.map(lambda c: make_block(*c))
+        blocks = cols.mapPartitionsWithIndex(
+            lambda p, it: [make_block(*c, part=p) for c in it]
+        ).coalesce(task_count(sc, partitions))
     else:
-        blocks = _regroup(cols.flatMap(lambda c: route(*c, partitions)), partitions, make_block)
+        blocks = regroup(cols.flatMap(lambda c: route(*c, partitions)), partitions, make_block)
     rdd, m, deg, _ = _persist(blocks, g.n)
     k = (deg if k is None else k).astype("float64")
     return LevelGraph(rdd=rdd, n=g.n, k=k, sq=k**2, selfw=np.zeros(g.n), deg=deg, m_directed=m)
@@ -296,12 +327,13 @@ def intra_weight(level: LevelGraph, assign: np.ndarray) -> float:
     """Σ w over *directed* edge rows whose endpoints share a cluster (one Spark job)."""
     bc = level.rdd.context.broadcast(assign)
 
-    def partial(b: Block) -> float:
+    def partial(b: Block) -> tuple[int, float]:
         a = bc.value
-        return float(b.w[a[b.src] == a[b.dst]].sum())
+        return b.part, float(b.w[a[b.src] == a[b.dst]].sum())
 
     try:
-        return float(sum(level.rdd.map(partial).collect()))
+        # Summed in logical-block order, whichever task carried each block.
+        return float(sum(x for _, x in sorted(level.rdd.map(partial).collect())))
     finally:
         bc.destroy()
 
@@ -338,7 +370,7 @@ def compress(
         return route(*aggregate(a[b.src], a[b.dst], b.w), partitions)
 
     try:
-        blocks = _regroup(level.rdd.flatMap(pieces), partitions, coarse_block)
+        blocks = regroup(level.rdd.flatMap(pieces), partitions, coarse_block)
         return coarsened(level, assign_dense, n_clusters, blocks)
     finally:
         bc.destroy()
@@ -376,6 +408,7 @@ class RunStats:
     n_clusters: int = 0
     lam: float = 0.0
     two_w: float = 0.0  # total directed weight (modularity normalizer)
+    tasks: int = 0  # Spark tasks per pass that carried the P logical blocks (PAR only)
 
     @property
     def total_rounds(self) -> int:

@@ -64,3 +64,27 @@ def small_weighted_graph(seed: int = 0, n: int = 24, avg_deg: float = 5.0) -> Ge
     pdf = pd.DataFrame({"u": lo, "v": hi, "w": rng.uniform(0.2, 2.0, size=len(lo))})
     pdf = pdf.groupby(["u", "v"], as_index=False)["w"].first()
     return GenGraph(name=f"rand-{seed}", n=n, edges=pdf)
+
+
+def numpy_reported_objective(
+    g: GenGraph, assign: np.ndarray, resolution: float, objective: str = "cc"
+) -> float:
+    """The engines' reported objective recomputed with numpy from the undirected edges.
+
+    ``"cc"``: the ordered-pair LambdaCC objective with unit vertex weights.
+    ``"modularity"``: k = weighted degree, λ = γ/(2W) and Q = CC/(2W)
+    (CC itself when 2W = 0).
+    """
+    u = g.edges["u"].to_numpy()
+    v = g.edges["v"].to_numpy()
+    w = g.edges["w"].to_numpy()
+    if objective == "cc":
+        k, lam, norm = np.ones(g.n), resolution, 1.0
+    else:
+        k = np.bincount(u, weights=w, minlength=g.n) + np.bincount(v, weights=w, minlength=g.n)
+        two_w = float(k.sum())
+        lam = resolution / two_w if two_w > 0 else 0.0
+        norm = two_w if two_w > 0 else 1.0
+    K = np.bincount(assign, weights=k, minlength=g.n)
+    cc = 2.0 * w[assign[u] == assign[v]].sum() - lam * ((K**2).sum() - (k**2).sum())
+    return float(cc / norm)

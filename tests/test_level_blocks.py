@@ -1,5 +1,7 @@
 """The resident per-partition CSR blocks behind PARALLEL-CC: placement, Spark
 job budget, storage hygiene, degenerate inputs and the synchronous kernel."""
+import itertools
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -8,12 +10,12 @@ from pyspark.sql import functions as F
 from repro.core import par_louvain
 from repro.core.config import CCConfig
 from repro.core.par_louvain import _sync_block_moves, parallel_cc
-from repro.core.seq_louvain import build_csr, csr_objective
+from repro.core.seq_louvain import build_csr, csr_objective, sequential_cc
 from repro.core.state import make_block, partition_of
 from repro.graphs.gen import GenGraph, planted_partition
 from repro.graphs.ops import to_spark
 
-from tests.helpers import brute_cc
+from tests.helpers import brute_cc, numpy_reported_objective
 
 
 def _graph(n: int, rows: list[tuple[int, int, float]]) -> GenGraph:
@@ -54,33 +56,61 @@ class TestPartitionOf:
         )
 
 
+_COUNTER_IDS = itertools.count()
+
+
 class _JobCounter:
     """Runs each wrapped engine call under its own Spark job group."""
 
     def __init__(self, spark, monkeypatch):
         self.sc = spark.sparkContext
+        self.prefix = f"budget-{next(_COUNTER_IDS)}"
         self.groups: dict[str, list[str]] = {}
         self.monkeypatch = monkeypatch
 
+    def run(self, name: str, fn, *args, **kwargs):
+        group = f"{self.prefix}-{name}-{len(self.groups.setdefault(name, []))}"
+        self.groups[name].append(group)
+        outer = self.sc.getLocalProperty("spark.jobGroup.id")
+        self.sc.setJobGroup(group, name)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            self.sc.setLocalProperty("spark.jobGroup.id", outer)
+
     def wrap(self, name: str) -> None:
         orig = getattr(par_louvain, name)
-
-        def wrapper(*args, **kwargs):
-            group = f"budget-{name}-{len(self.groups.setdefault(name, []))}"
-            self.groups[name].append(group)
-            outer = self.sc.getLocalProperty("spark.jobGroup.id")
-            self.sc.setJobGroup(group, name)
-            try:
-                return orig(*args, **kwargs)
-            finally:
-                self.sc.setLocalProperty("spark.jobGroup.id", outer)
-
-        self.monkeypatch.setattr(par_louvain, name, wrapper)
+        self.monkeypatch.setattr(
+            par_louvain, name, lambda *args, **kwargs: self.run(name, orig, *args, **kwargs)
+        )
 
     def jobs(self, name: str) -> list[int]:
         self.sc._jsc.sc().listenerBus().waitUntilEmpty()
         tracker = self.sc.statusTracker()
         return [len(tracker.getJobIdsForGroup(g)) for g in self.groups.get(name, [])]
+
+    def tasks(self, name: str) -> list[int]:
+        """Completed Spark tasks of each call to ``name``.
+
+        A stage that a later job reuses (a shuffle or cached input) is listed
+        by that job too; its tasks are credited to the first job listing it.
+        """
+        self.sc._jsc.sc().listenerBus().waitUntilEmpty()
+        tracker = self.sc.statusTracker()
+        jobs = sorted(
+            (job, group)
+            for groups in self.groups.values()
+            for group in groups
+            for job in tracker.getJobIdsForGroup(group)
+        )
+        owner: dict[int, str] = {}
+        for job, group in jobs:
+            for stage in tracker.getJobInfo(job).stageIds:
+                owner.setdefault(stage, group)
+        return [
+            sum(tracker.getStageInfo(s).numCompletedTasks for s, g in owner.items() if g == group)
+            for group in self.groups.get(name, [])
+        ]
 
 
 class TestJobBudget:
@@ -100,6 +130,25 @@ class TestJobBudget:
         assert len(compresses) == len(stats.levels) - 1 >= 1
         assert max(compresses) <= 2
         assert counter.jobs("cc_objective") == [1]
+
+    def test_one_task_wave_per_step(self, spark, small_graph, monkeypatch):
+        """P=8 logical blocks run in S = min(8, cores) tasks per move pass and objective."""
+        partitions = 8
+        tasks = min(partitions, spark.sparkContext.defaultParallelism)
+        gd = to_spark(spark, small_graph, partitions=partitions)
+        counter = _JobCounter(spark, monkeypatch)
+        counter.run("input", lambda: gd.edges.cache().count())
+        for name in ("level0", "_move_pass", "compress", "cc_objective"):
+            counter.wrap(name)
+        cfg = CCConfig(resolution=0.3, num_iter=3, max_levels=3, seed=12, partitions=partitions)
+        _, stats = parallel_cc(gd, cfg)
+        gd.edges.unpersist()
+        assert stats.tasks == tasks
+        assert max(counter.tasks("level0")) <= partitions  # the input's partitions
+        assert set(counter.tasks("_move_pass")) == {tasks}
+        compresses = counter.tasks("compress")
+        assert len(compresses) >= 1 and max(compresses) <= 2 * tasks
+        assert counter.tasks("cc_objective") == [tasks]
 
 
 class TestStorageHygiene:
@@ -211,6 +260,62 @@ class TestDegenerateInputs:
         a_other, s_other = parallel_cc(to_spark(spark, small_graph, partitions=3), cfg)
         np.testing.assert_array_equal(a_same, a_other)
         assert s_same.objective == s_other.objective
+
+
+def _clusters(assign: np.ndarray) -> set[frozenset[int]]:
+    return {frozenset(np.flatnonzero(assign == c).tolist()) for c in np.unique(assign)}
+
+
+# Name → (graph, resolution, expected clusters).
+_DEGENERATE = {
+    "n=0": (_graph(0, []), 0.3, []),
+    # Two triangles bridged by a zero-weight edge, and a pair joined only by
+    # one: zero weight never pulls vertices together.
+    "zero-weights": (
+        _graph(
+            8,
+            [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0), (3, 4, 1.0), (3, 5, 1.0), (4, 5, 1.0),
+             (2, 3, 0.0), (6, 7, 0.0)],
+        ),
+        0.3,
+        [[0, 1, 2], [3, 4, 5], [6], [7]],
+    ),
+    # λ=0 (γ=0): every connected component becomes one cluster.
+    "lambda=0": (
+        _graph(
+            16,
+            [(i, (i + 1) % 10, 1.0) for i in range(10)] + [(0, 5, 2.0), (2, 7, 0.5)]
+            + [(i, j, 1.0) for i in range(10, 15) for j in range(i + 1, 15)],
+        ),
+        0.0,
+        [list(range(10)), list(range(10, 15)), [15]],
+    ),
+}
+
+
+class TestDegenerateObjectives:
+    """Degenerate inputs on both engines and both objectives: the reported
+    objective matches a numpy recomputation and no storage is left behind."""
+
+    @pytest.mark.parametrize("engine", ["parallel", "sequential"])
+    @pytest.mark.parametrize("objective", ["cc", "modularity"])
+    @pytest.mark.parametrize("case", list(_DEGENERATE))
+    def test_objective_and_storage(self, spark, case, objective, engine):
+        g, resolution, clusters = _DEGENERATE[case]
+        cfg = CCConfig(
+            resolution=resolution, objective=objective, num_iter=5, seed=8, partitions=4
+        )
+        before = _persistent_rdds(spark)
+        if engine == "parallel":
+            assign, stats = parallel_cc(to_spark(spark, g, partitions=4), cfg)
+        else:
+            assign, stats = sequential_cc(g, cfg)
+        assert _persistent_rdds(spark) == before
+        assert len(assign) == g.n
+        assert stats.reported_objective == pytest.approx(
+            numpy_reported_objective(g, assign, resolution, objective), rel=1e-9, abs=1e-9
+        )
+        assert _clusters(assign) == {frozenset(c) for c in clusters}
 
 
 def _sync_reference(src, dst, w, a, K, k, lam, U, tol, active):

@@ -3,6 +3,7 @@ dataflow vertex program, all three §3.2 optimization axes, and agreement
 with the sequential engine."""
 import hashlib
 
+import networkx as nx
 import numpy as np
 import pandas as pd
 import pytest
@@ -11,7 +12,7 @@ from repro.core.config import CCConfig
 from repro.core.par_louvain import best_moves, parallel_cc
 from repro.core.seq_louvain import build_csr, csr_objective, sequential_cc
 from repro.core.state import cc_objective, level0
-from repro.graphs.gen import GenGraph, karate, planted_partition
+from repro.graphs.gen import GenGraph, karate, lite_graph, planted_partition
 from repro.graphs.ops import to_spark
 
 from tests.helpers import brute_cc, small_weighted_graph
@@ -195,6 +196,12 @@ def _assign_hash(assign: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(assign, dtype="<i8").tobytes()).hexdigest()[:16]
 
 
+_PIN_CC = CCConfig(resolution=0.3, num_iter=5, seed=5)
+_PIN_MOD = CCConfig(
+    resolution=1.0, objective="modularity", async_moves=False, frontier="all", num_iter=5, seed=5
+)
+
+
 class TestPinnedOutputs:
     """Fixed-seed outputs, pinned so that engine refactors show they change nothing.
 
@@ -224,3 +231,67 @@ class TestPinnedOutputs:
         assign, stats = parallel_cc(gd, cfg, compress_mode=compress_mode)
         assert _assign_hash(assign) == expected_hash
         assert stats.reported_objective == expected_objective
+
+    @pytest.mark.parametrize(
+        "input_partitions, cfg, compress_mode, expected_hash, expected_objective",
+        [
+            (8, _PIN_CC.with_(partitions=8), "spark", "1b13116808a38c3d", 649.8000000000001),
+            (8, _PIN_MOD.with_(partitions=8), "spark", "0b1cf78f62c5c844", 0.2769110931138634),
+            (8, _PIN_CC.with_(partitions=8), "driver_python", "1b13116808a38c3d", 649.8000000000001),
+            (16, _PIN_CC.with_(partitions=16), "spark", "42986674efae1158", 609.0),
+            (16, _PIN_MOD.with_(partitions=16), "spark", "0b1cf78f62c5c844", 0.2769110931138634),
+            (16, _PIN_CC.with_(partitions=16), "driver_python", "42986674efae1158", 609.0),
+            # Another input partition count: rows are routed, then regrouped.
+            (4, _PIN_CC.with_(partitions=6), "spark", "c45b8d091633fc49", 650.2),
+        ],
+        ids=[
+            "P8-cc-async-vertices-refine", "P8-mod-sync-all", "P8-cc-driver-python",
+            "P16-cc-async-vertices-refine", "P16-mod-sync-all", "P16-cc-driver-python",
+            "input4-P6-cc-async-vertices-refine",
+        ],
+    )
+    def test_packed_blocks(
+        self, spark, medium_graph, input_partitions, cfg, compress_mode, expected_hash,
+        expected_objective,
+    ):
+        """P logical blocks packed into fewer Spark tasks give the same outputs."""
+        if spark.sparkContext.defaultParallelism >= cfg.partitions:
+            pytest.skip("defaultParallelism >= P: every block gets its own task")
+        gd = to_spark(spark, medium_graph, partitions=input_partitions)
+        assign, stats = parallel_cc(gd, cfg, compress_mode=compress_mode)
+        assert stats.tasks < cfg.partitions
+        assert _assign_hash(assign) == expected_hash
+        assert stats.reported_objective == expected_objective
+
+
+class TestNetworkxModularity:
+    """PAR-MOD's Q against networkx, an independent implementation.
+
+    networkx counts the i = j terms of the modularity sum; the engine's
+    ordered-pair objective does not, so Q = Q_nx + γ·Σd²/(2W)².
+    """
+
+    @pytest.mark.parametrize("partitions", [2, 8], ids=["P-le-tasks", "P-gt-tasks"])
+    @pytest.mark.parametrize(
+        "graph, gamma", [(karate, 1.0), (lambda: lite_graph("amazon-lite"), 0.8)],
+        ids=["karate", "amazon-lite"],
+    )
+    def test_q_matches_networkx(self, spark, graph, gamma, partitions):
+        if partitions > 2 and spark.sparkContext.defaultParallelism >= partitions:
+            pytest.skip("defaultParallelism >= P: every block gets its own task")
+        g = graph()
+        cfg = CCConfig(
+            resolution=gamma, objective="modularity", num_iter=3, max_levels=3, seed=9,
+            partitions=partitions,
+        )
+        assign, stats = parallel_cc(to_spark(spark, g, partitions=partitions), cfg)
+        assert stats.tasks == min(partitions, spark.sparkContext.defaultParallelism)
+        G = nx.Graph()
+        G.add_nodes_from(range(g.n))
+        G.add_weighted_edges_from(g.edges[["u", "v", "w"]].itertuples(index=False), weight="w")
+        communities = [np.flatnonzero(assign == c).tolist() for c in range(stats.n_clusters)]
+        deg = np.array([d for _, d in sorted(G.degree(weight="w"))])
+        q_nx = nx.community.modularity(G, communities, weight="w", resolution=gamma)
+        assert stats.reported_objective == pytest.approx(
+            q_nx + gamma * (deg**2).sum() / deg.sum() ** 2, rel=0, abs=1e-9
+        )
