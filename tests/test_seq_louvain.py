@@ -1,4 +1,6 @@
 """Tests for SEQUENTIAL-CC / SEQ-MOD (core.seq_louvain)."""
+import hashlib
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -12,7 +14,7 @@ from repro.core.seq_louvain import (
     sequential_cc,
 )
 from repro.core.state import densify
-from repro.graphs.gen import GenGraph, karate, planted_partition
+from repro.graphs.gen import GenGraph, karate, lite_graph, planted_partition
 
 from tests.helpers import brute_cc, small_weighted_graph
 
@@ -145,3 +147,32 @@ class TestSequentialCC:
         a2, s2 = sequential_cc(g, cfg)
         np.testing.assert_array_equal(a1, a2)
         assert s1.objective == s2.objective
+
+
+def _assign_hash(assign: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(assign, dtype="<i8").tobytes()).hexdigest()[:16]
+
+
+class TestPinnedOutputs:
+    """Fixed-seed SEQ outputs, pinned so that a change of the move kernel shows it
+    makes the same moves (values taken before the kernel was shared with PAR)."""
+
+    @pytest.mark.parametrize(
+        "graph, cfg, expected_hash, expected_objective",
+        [
+            (karate, CCConfig(resolution=0.3, num_iter=10, seed=3),
+             "49788e4331796f72", 44.0),
+            (karate, CCConfig(resolution=1.0, objective="modularity", num_iter=10, seed=3),
+             "15988a99a2e501b5", 0.4695923734385272),
+            (lambda: lite_graph("amazon-lite"), CCConfig(resolution=0.5, num_iter=10, seed=3),
+             "a0a07e4960bc4b97", 5510.0),
+            (lambda: lite_graph("amazon-lite"),
+             CCConfig(resolution=1.0, objective="modularity", num_iter=10, seed=3),
+             "a03f1cbc37b69458", 0.7935764897959183),
+        ],
+        ids=["karate-cc", "karate-mod", "amazon-lite-cc", "amazon-lite-mod"],
+    )
+    def test_assignment_and_objective(self, graph, cfg, expected_hash, expected_objective):
+        assign, stats = sequential_cc(graph(), cfg)
+        assert _assign_hash(assign) == expected_hash
+        assert stats.reported_objective == expected_objective
