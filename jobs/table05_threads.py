@@ -4,8 +4,10 @@ Thread count maps to P logical edge blocks, run in min(P, cores) Spark
 tasks (``tasks`` column); P=1 approximates single-threaded execution. Up
 to P = cores, a step in P adds both a thread of the async semantics and a
 core; beyond it, P varies only the async semantics (more, smaller
-stale-state domains), not the number of cores. Reports self-relative
-speedup T(1)/T(P) for PAR-CC and PAR-MOD.
+stale-state domains), not the number of cores. Coarse levels with fewer
+than ``state.DRIVER_ROWS`` rows run in the driver whatever P is
+(``driver_levels`` column), so their share of the time does not scale
+with P. Reports self-relative speedup T(1)/T(P) for PAR-CC and PAR-MOD.
 """
 from __future__ import annotations
 
@@ -40,6 +42,7 @@ def run(spark, quick: bool = False):
                         "algo": f"par-{objective}",
                         "partitions": p,
                         "tasks": stats.tasks,
+                        "driver_levels": sum(l.driver for l in stats.levels),
                         "time_s": stats.total_time,
                         "self_speedup_vs_p1": t1 / stats.total_time,
                         "objective": stats.reported_objective,

@@ -6,7 +6,10 @@ vertex's out-edges are co-located, sorted by ``src`` once; P logical
 blocks, run in min(P, cores) tasks; see ``state``); the O(n) vertex state
 (assignment, cluster weights ``K_c``, vertex weights ``k``, frontier masks)
 is broadcast each BEST-MOVES iteration. One iteration is exactly one
-Spark job, a ``mapPartitions`` pass over the level's blocks:
+Spark job, a ``mapPartitions`` pass over the level's blocks. Coarse levels
+below ``state.DRIVER_ROWS`` rows are held in the driver, where the same
+block functions run without a job (the level is too small to earn back a
+job's fixed cost); level 0 always runs in Spark:
 
 - **synchronous** (§3.2.1): every frontier vertex evaluates the appendix
   move-delta formula against the same broadcast snapshot; all moves are
@@ -15,7 +18,8 @@ Spark job, a ``mapPartitions`` pass over the level's blocks:
   reproducible rather than an endless oscillation.
 - **asynchronous** (§3.2.1): inside each edge partition the vertices are
   processed sequentially in random order against *partition-local* copies
-  of the assignment/``K_c`` arrays that are updated immediately; across
+  of the assignment/``K_c`` arrays that are updated immediately (the
+  ``kernel.local_moves`` loop SEQ-CC's sweeps also run); across
   partitions the state is stale. This reproduces the paper's
   relaxed-consistency lock-free moves at partition granularity. Because a
   BSP step cannot interleave timing the way free-running threads do, each
@@ -44,6 +48,7 @@ import pandas as pd
 # here because the benchmark's tracer wraps par_louvain.degree_array.
 from ..graphs.ops import GraphData, degree_array  # noqa: F401
 from .config import CCConfig
+from .kernel import local_moves
 from .state import (
     Block,
     LevelGraph,
@@ -168,52 +173,24 @@ def _async_block_moves(
     n: int,
     sample: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sequential random-order moves with immediate partition-local updates."""
-    verts, indptr, dst_s, w_s = b.verts, b.indptr, b.dst, b.w
+    """Sequential random-order moves with immediate updates to a partition-local state copy."""
     in_frontier = _active_verts(b, all_active, aux, extra)
     participate = (
-        _participates(verts, seed) if sample else np.ones(len(verts), dtype=bool)
+        _participates(b.verts, seed) if sample else np.ones(len(b.verts), dtype=bool)
     )
     active = np.flatnonzero(in_frontier & participate)
     if len(active) == 0:
         return _NO_MOVES
     # Partition-deterministic order: seed mixes the config seed, the
     # iteration, and this partition's smallest vertex id.
-    rng = np.random.default_rng((seed * 1_000_003 + int(verts[0])) % (2**63))
+    rng = np.random.default_rng((seed * 1_000_003 + int(b.verts[0])) % (2**63))
     rng.shuffle(active)
-    local_a = a.copy()
-    local_K = np.zeros(U + n + 1)
-    local_K[:U] = K
-    mv_v: list[int] = []
-    mv_c: list[int] = []
-    mv_d: list[float] = []
-    for i in active:
-        v = int(verts[i])
-        dsts = dst_s[indptr[i] : indptr[i + 1]]
-        ws = w_s[indptr[i] : indptr[i + 1]]
-        cd = local_a[dsts]
-        uniq, inv = np.unique(cd, return_inverse=True)
-        wvc = np.bincount(inv, weights=ws)
-        cv = int(local_a[v])
-        kv = float(k[v])
-        pos = np.searchsorted(uniq, cv)
-        own = float(wvc[pos]) if pos < len(uniq) and uniq[pos] == cv else 0.0
-        base = own - lam * kv * (local_K[cv] - kv)
-        deltas = (wvc - lam * kv * local_K[uniq]) - base
-        deltas[uniq == cv] = -np.inf
-        j = int(np.argmax(deltas)) if len(deltas) else -1
-        best_d = deltas[j] if j >= 0 else -np.inf
-        best_c = int(uniq[j]) if j >= 0 else -1
-        d_iso = -base
-        if d_iso > best_d:
-            best_d, best_c = d_iso, U + v
-        if best_d > tol:
-            local_K[cv] -= kv
-            local_K[best_c] += kv
-            local_a[v] = best_c
-            mv_v.append(v)
-            mv_c.append(best_c)
-            mv_d.append(float(best_d))
+    local_K = K.tolist()
+    local_K.extend([0.0] * (n + 1))
+    mv_v, mv_c, mv_d = local_moves(
+        active.tolist(), b.indptr.tolist(), b.dst.tolist(), b.w.tolist(), b.verts.tolist(),
+        a.tolist(), local_K, k.tolist(), lam, U, tol,
+    )
     return (
         np.asarray(mv_v, "int64"),
         np.asarray(mv_c, "int64"),
@@ -234,24 +211,24 @@ def _move_pass(
     extra: np.ndarray | None,
     sample: bool = True,
 ) -> pd.DataFrame:
-    """One BEST-MOVES iteration: broadcast state, one job over the level's blocks, collect moves."""
-    bc = level.rdd.context.broadcast((assign, K, level.k, aux, extra))
+    """One BEST-MOVES iteration over the level's blocks, moves collected in the driver.
+
+    On a Spark level: one job, with the state broadcast. On a driver level:
+    the same block functions, run in the driver.
+    """
     n = level.n
     use_async = cfg.async_moves
     tol = cfg.move_tol
 
-    def fn(b: Block) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        a, Kb, kb, auxb, extrab = bc.value
+    def fn(b: Block, state: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        a, Kb, kb, auxb, extrab = state
         if use_async:
             return _async_block_moves(
                 b, a, Kb, kb, lam, U, tol, all_active, auxb, extrab, it_seed, n, sample
             )
         return _sync_block_moves(b, a, Kb, kb, lam, U, tol, all_active, auxb, extrab)
 
-    try:
-        parts = level.rdd.map(fn).collect()
-    finally:
-        bc.destroy()
+    parts = level.map_blocks(fn, (assign, K, level.k, aux, extra))
     v, c, d = (np.concatenate(col) for col in zip(_NO_MOVES, *parts))
     return pd.DataFrame({"v": v, "c": c, "delta": d})
 
@@ -348,7 +325,7 @@ def _compress_driver_python(
     efficiently parallelized, which is exactly the difference the paper
     credits for its speedup over NetworKit.
     """
-    blocks = sorted(level.rdd.collect(), key=lambda b: b.part)
+    blocks = sorted(level.map_blocks(lambda b, _: b, None), key=lambda b: b.part)
     src = np.concatenate([assign_dense[b.src] for b in blocks] or [np.empty(0, "int64")])
     dst = np.concatenate([assign_dense[b.dst] for b in blocks] or [np.empty(0, "int64")])
     w = np.concatenate([b.w for b in blocks] or [np.empty(0)])
@@ -359,8 +336,11 @@ def _compress_driver_python(
     s_out = np.fromiter((s for s, _ in agg), "int64", len(agg))
     d_out = np.fromiter((d for _, d in agg), "int64", len(agg))
     w_out = np.fromiter(agg.values(), "float64", len(agg))
-    pieces = level.rdd.context.parallelize(list(route(s_out, d_out, w_out, partitions)))
-    return coarsened(level, assign_dense, n_clusters, regroup(pieces, partitions, coarse_block))
+    pieces = list(route(s_out, d_out, w_out, partitions))
+    if not level.children_in_driver:
+        pieces = level.blocks.context.parallelize(pieces)
+    child = regroup(pieces, partitions, coarse_block)
+    return coarsened(level, assign_dense, n_clusters, child, partitions)
 
 
 def _recurse(
@@ -372,7 +352,7 @@ def _recurse(
     compress_mode: str,
 ) -> np.ndarray:
     """PARALLEL-CC (Algorithm 1 lines 1–11), recursive."""
-    lstats = LevelStats(n=level.n, m_directed=level.m_directed)
+    lstats = LevelStats(n=level.n, m_directed=level.m_directed, driver=level.driver)
     stats.levels.append(lstats)
     seed_base = cfg.seed * 10_007 + depth * 1_000
     with Timer() as t:
@@ -423,7 +403,7 @@ def parallel_cc(
         else:
             lam = cfg.resolution
         stats = RunStats(
-            algo=f"par-{cfg.objective}", lam=lam, two_w=two_w, tasks=lvl0.rdd.getNumPartitions()
+            algo=f"par-{cfg.objective}", lam=lam, two_w=two_w, tasks=lvl0.blocks.getNumPartitions()
         )
         assign = _recurse(lvl0, 0, lam, cfg, stats, compress_mode)
         stats.total_time = time.perf_counter() - t0

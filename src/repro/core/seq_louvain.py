@@ -21,6 +21,7 @@ import pandas as pd
 
 from ..graphs.gen import GenGraph
 from .config import CCConfig
+from .kernel import local_moves
 from .state import LevelStats, RunStats, Timer, densify
 
 
@@ -84,54 +85,35 @@ def _sweeps(
     move strictly increases the objective).
     """
     assign, U = densify(assign_init)
-    K = np.zeros(U + level.n + 1)
-    K[:U] = np.bincount(assign, weights=level.k, minlength=U)
+    indptr, nbrs, ws, k = (x.tolist() for x in (level.indptr, level.nbrs, level.ws, level.k))
+    verts = range(level.n)
     frontier = np.ones(level.n, dtype=bool)
     total_moves = 0
     sweeps = 0
     for _ in range(cfg.effective_num_iter):
         sweeps += 1
         order = rng.permutation(np.flatnonzero(frontier))
-        moved: list[int] = []
-        for v in order:
-            lo, hi = level.indptr[v], level.indptr[v + 1]
-            if lo == hi:
-                continue
-            cd = assign[level.nbrs[lo:hi]]
-            uniq, inv = np.unique(cd, return_inverse=True)
-            wvc = np.bincount(inv, weights=level.ws[lo:hi])
-            cv = assign[v]
-            kv = level.k[v]
-            pos = np.searchsorted(uniq, cv)
-            own = float(wvc[pos]) if pos < len(uniq) and uniq[pos] == cv else 0.0
-            base = own - lam * kv * (K[cv] - kv)
-            deltas = (wvc - lam * kv * K[uniq]) - base
-            deltas[uniq == cv] = -np.inf
-            j = int(np.argmax(deltas))
-            best_d, best_c = deltas[j], int(uniq[j])
-            if -base > best_d:  # detach into a fresh singleton
-                best_d, best_c = -base, U + int(v)
-            if best_d > cfg.move_tol:
-                K[cv] -= kv
-                K[best_c] += kv
-                assign[v] = best_c
-                moved.append(int(v))
+        a = assign.tolist()
+        K = np.bincount(assign, weights=level.k, minlength=U).tolist()
+        K.extend([0.0] * (level.n + 1))
+        moved, _, _ = local_moves(
+            order.tolist(), indptr, nbrs, ws, verts, a, K, k, lam, U, cfg.move_tol
+        )
         if not moved:
             break
+        assign = np.asarray(a, dtype="int64")
         total_moves += len(moved)
         if cfg.frontier == "all":
             frontier = np.ones(level.n, dtype=bool)
         else:
             # neighbors of moved vertices (the paper notes the sequential
             # baselines use the applicable optimizations)
+            moved_mask = np.zeros(level.n, dtype=bool)
+            moved_mask[moved] = True
             frontier = np.zeros(level.n, dtype=bool)
-            for v in moved:
-                frontier[level.nbrs[level.indptr[v] : level.indptr[v + 1]]] = True
+            frontier[level.nbrs[np.repeat(moved_mask, np.diff(level.indptr))]] = True
         # Re-densify so singleton labels stay compact.
         assign, U = densify(assign)
-        newK = np.zeros(U + level.n + 1)
-        newK[:U] = np.bincount(assign, weights=level.k, minlength=U)
-        K = newK
         if not frontier.any():
             break
     return densify(assign)[0], total_moves, sweeps

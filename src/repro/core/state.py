@@ -9,7 +9,10 @@ of each source vertex). P logical blocks, run in min(P, cores) tasks: the
 blocks stay resident as one persisted RDD with S = ``task_count(P)`` Spark
 partitions, block ``p`` in Spark partition ``p * S // P`` (``level0`` keeps
 Spark's own grouping when it coalesces its input), so every per-block job
-is one wave of S tasks.
+is one wave of S tasks. A coarse level with fewer than ``DRIVER_ROWS``
+directed rows is instead held in the driver as a list of the same blocks,
+and every step on it runs the same per-block functions there, without a
+Spark job (:meth:`LevelGraph.map_blocks`).
 Per-vertex driver state (O(n) numpy arrays) rides alongside:
 
 - ``k``     — LambdaCC vertex weight of the (super)vertex,
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 import pandas as pd
@@ -44,6 +47,15 @@ from ..graphs.ops import EDGE_SCHEMA, GraphData
 
 _NO_IDS = np.empty(0, dtype="int64")
 _NO_WEIGHTS = np.empty(0, dtype="float64")
+
+# A coarse level with fewer directed rows than this is held in the driver.
+# A move pass over r rows costs about J + c·r/S as an S-task Spark job and
+# c·r in the driver, so the driver is cheaper below r = J·S/((S−1)·c).
+# Measured on a 4-core container: J ≈ 0.33–0.35 s (p50 of a no-op 4-task
+# Python job), c ≈ 0.5–0.7 µs per row (the list kernel over lj-lite's level-0
+# blocks), giving 0.63–0.93M rows; rounded down to a power of two. Level 0,
+# the caller's distributed input, always stays in Spark.
+DRIVER_ROWS = 1 << 19
 
 
 class Block(NamedTuple):
@@ -147,23 +159,31 @@ def task_count(sc: SparkContext, partitions: int) -> int:
     return min(partitions, sc.defaultParallelism)
 
 
-def regroup(pieces: RDD, partitions: int, build: Callable[..., Block]) -> RDD:
-    """Shuffle ``(partition, rows)`` pieces into one block per logical partition.
+def _build_blocks(
+    pieces: Iterable[tuple[int, tuple[np.ndarray, ...]]], build: Callable[..., Block]
+) -> list[Block]:
+    """One block per logical partition present in ``pieces``, in partition order."""
+    groups: dict[int, list] = {}
+    for p, piece in pieces:
+        groups.setdefault(p, []).append(piece)
+    return [build(*_concat(groups[p]), part=p) for p in sorted(groups)]
 
-    Logical partition ``p`` goes to Spark partition ``p * S // P``; each task
-    builds the blocks of the logical partitions it receives rows for, in
-    the order their pieces arrive.
+
+def regroup(
+    pieces: RDD | Iterable, partitions: int, build: Callable[..., Block]
+) -> RDD | list[Block]:
+    """Gather ``(partition, rows)`` pieces into one block per logical partition.
+
+    An RDD of pieces is shuffled: logical partition ``p`` goes to Spark
+    partition ``p * S // P``, and each task builds the blocks of the logical
+    partitions it receives rows for, in the order their pieces arrive. Pieces
+    held in the driver are built there, in the order given.
     """
+    if not isinstance(pieces, RDD):
+        return _build_blocks(pieces, build)
     tasks = task_count(pieces.context, partitions)
-
-    def build_blocks(it: Iterator[tuple[int, tuple[np.ndarray, ...]]]) -> list[Block]:
-        groups: dict[int, list] = {}
-        for p, piece in it:
-            groups.setdefault(p, []).append(piece)
-        return [build(*_concat(groups[p]), part=p) for p in sorted(groups)]
-
     return pieces.partitionBy(tasks, lambda p: p * tasks // partitions).mapPartitions(
-        build_blocks, preservesPartitioning=True
+        lambda it: _build_blocks(it, build), preservesPartitioning=True
     )
 
 
@@ -175,11 +195,17 @@ def coarse_block(src: np.ndarray, dst: np.ndarray, w: np.ndarray, *, part: int) 
     return make_block(src[keep], dst[keep], w[keep], src[loop], w[loop], part=part)
 
 
+def _rows(b: Block) -> Iterator[tuple[int, int, float]]:
+    return zip(b.src.tolist(), b.dst.tolist(), b.w.tolist())
+
+
 @dataclass
 class LevelGraph:
     """One level of the coarsening hierarchy (resident edge blocks + driver state)."""
 
-    rdd: RDD  # persisted: one Block per logical partition, task_count(P) Spark partitions
+    # One Block per logical partition: a persisted RDD of task_count(P) Spark
+    # partitions, or on a driver level a list in logical-partition order.
+    blocks: RDD | list[Block]
     n: int
     k: np.ndarray
     sq: np.ndarray
@@ -188,13 +214,47 @@ class LevelGraph:
     m_directed: int = 0  # number of directed edge rows
 
     @property
+    def driver(self) -> bool:
+        """Whether the level's blocks are held in the driver (no Spark job runs on it)."""
+        return isinstance(self.blocks, list)
+
+    @property
+    def children_in_driver(self) -> bool:
+        """Whether any level compressed from this one is built in the driver.
+
+        True on a driver level, and on any level with fewer than
+        ``DRIVER_ROWS`` rows: compression never adds rows, so its children
+        are driver levels for sure.
+        """
+        return self.driver or self.m_directed < DRIVER_ROWS
+
+    def map_blocks(self, fn: Callable[[Block, Any], Any], shared: Any) -> list:
+        """``fn(block, shared)`` for every block.
+
+        On a Spark level: one job, with ``shared`` broadcast for its duration;
+        results come in Spark partition order. On a driver level: a loop in
+        the driver, in logical-partition order.
+        """
+        if self.driver:
+            return [fn(b, shared) for b in self.blocks]
+        bc = self.blocks.context.broadcast(shared)
+        try:
+            return self.blocks.map(lambda b: fn(b, bc.value)).collect()
+        finally:
+            bc.destroy()
+
+    @property
     def edges(self) -> DataFrame:
         """The edge rows as an ``(src, dst, w)`` DataFrame, built on demand (not cached)."""
-        rows = self.rdd.flatMap(lambda b: zip(b.src.tolist(), b.dst.tolist(), b.w.tolist()))
+        if self.driver:
+            rows = [r for b in self.blocks for r in _rows(b)]
+        else:
+            rows = self.blocks.flatMap(_rows)
         return SparkSession.builder.getOrCreate().createDataFrame(rows, EDGE_SCHEMA)
 
     def unpersist(self) -> None:
-        self.rdd.unpersist()
+        if not self.driver:
+            self.blocks.unpersist()
 
 
 def _summary(b: Block) -> tuple:
@@ -202,18 +262,38 @@ def _summary(b: Block) -> tuple:
     return len(b.src), b.verts, deg, b.loop_v, b.loop_w
 
 
-def _persist(blocks: RDD, n: int) -> tuple[RDD, int, np.ndarray, np.ndarray]:
-    """Persist a block RDD in one Spark job that also summarizes it.
+def _materialize(
+    blocks: RDD | list[Block], n: int, partitions: int, driver_rows: int = 0
+) -> tuple[RDD | list[Block], int, np.ndarray, np.ndarray]:
+    """Hold a level's blocks where its steps will run, and summarize them.
 
-    Returns the persisted RDD, its row count, each vertex's weighted degree
-    and each vertex's split-off directed self-loop weight.
+    Blocks already in the driver stay there. A block RDD is persisted in one
+    Spark job that also summarizes it; when it holds fewer than
+    ``driver_rows`` rows, that job brings its blocks to the driver instead
+    and the RDD is released. To bound what a level that stays in Spark ships
+    for nothing, the job returns only blocks below twice a fair share of
+    ``driver_rows``; a skewed small level is collected by a second job.
+
+    Returns the blocks, their row count, each vertex's weighted degree and
+    each vertex's split-off directed self-loop weight.
     """
-    blocks = blocks.persist(StorageLevel.MEMORY_AND_DISK)
-    try:
-        parts = blocks.map(_summary).collect()
-    except BaseException:
-        blocks.unpersist()
-        raise
+    if isinstance(blocks, list):
+        parts = [_summary(b) for b in blocks]
+    else:
+        share = 2 * driver_rows // partitions
+        rdd = blocks.persist(StorageLevel.MEMORY_AND_DISK)
+        try:
+            got = rdd.map(lambda b: (_summary(b), b if len(b.src) < share else None)).collect()
+            parts = [s for s, _ in got]
+            if sum(s[0] for s in parts) < driver_rows:
+                local = [b for _, b in got if b is not None]
+                if len(local) < len(got):
+                    local = rdd.collect()
+                blocks = sorted(local, key=lambda b: b.part)
+                rdd.unpersist()
+        except BaseException:
+            rdd.unpersist()
+            raise
     deg = np.zeros(n)
     loops = np.zeros(n)
     m = 0
@@ -225,20 +305,25 @@ def _persist(blocks: RDD, n: int) -> tuple[RDD, int, np.ndarray, np.ndarray]:
 
 
 def coarsened(
-    level: LevelGraph, assign_dense: np.ndarray, n_clusters: int, blocks: RDD
+    level: LevelGraph,
+    assign_dense: np.ndarray,
+    n_clusters: int,
+    blocks: RDD | list[Block],
+    partitions: int,
 ) -> LevelGraph:
-    """Persist ``blocks`` as the level that ``assign_dense`` coarsens ``level`` into.
+    """Hold ``blocks`` as the level that ``assign_dense`` coarsens ``level`` into.
 
-    A directed self loop counts each unordered intra edge twice, so half of
-    its weight joins ``selfw``.
+    The level goes to the driver if it has fewer than ``DRIVER_ROWS`` rows
+    (see :func:`_materialize`). A directed self loop counts each unordered
+    intra edge twice, so half of its weight joins ``selfw``.
     """
 
     def fold(x: np.ndarray) -> np.ndarray:
         return np.bincount(assign_dense, weights=x, minlength=n_clusters)
 
-    rdd, m, deg, loops = _persist(blocks, n_clusters)
+    blocks, m, deg, loops = _materialize(blocks, n_clusters, partitions, DRIVER_ROWS)
     return LevelGraph(
-        rdd=rdd,
+        blocks=blocks,
         n=n_clusters,
         k=fold(level.k),
         sq=fold(level.sq),
@@ -296,9 +381,9 @@ def level0(
         ).coalesce(task_count(sc, partitions))
     else:
         blocks = regroup(cols.flatMap(lambda c: route(*c, partitions)), partitions, make_block)
-    rdd, m, deg, _ = _persist(blocks, g.n)
+    blocks, m, deg, _ = _materialize(blocks, g.n, partitions)
     k = (deg if k is None else k).astype("float64")
-    return LevelGraph(rdd=rdd, n=g.n, k=k, sq=k**2, selfw=np.zeros(g.n), deg=deg, m_directed=m)
+    return LevelGraph(blocks=blocks, n=g.n, k=k, sq=k**2, selfw=np.zeros(g.n), deg=deg, m_directed=m)
 
 
 def map_edge_partitions(
@@ -324,18 +409,13 @@ def map_edge_partitions(
 
 
 def intra_weight(level: LevelGraph, assign: np.ndarray) -> float:
-    """Σ w over *directed* edge rows whose endpoints share a cluster (one Spark job)."""
-    bc = level.rdd.context.broadcast(assign)
+    """Σ w over *directed* edge rows whose endpoints share a cluster (one Spark job on a Spark level)."""
 
-    def partial(b: Block) -> tuple[int, float]:
-        a = bc.value
+    def partial(b: Block, a: np.ndarray) -> tuple[int, float]:
         return b.part, float(b.w[a[b.src] == a[b.dst]].sum())
 
-    try:
-        # Summed in logical-block order, whichever task carried each block.
-        return float(sum(x for _, x in sorted(level.rdd.map(partial).collect())))
-    finally:
-        bc.destroy()
+    # Summed in logical-block order, whichever task carried each block.
+    return float(sum(x for _, x in sorted(level.map_blocks(partial, assign))))
 
 
 def cc_objective(level: LevelGraph, assign: np.ndarray, lam: float) -> float:
@@ -361,17 +441,29 @@ def compress(
     locally; its rows are shuffled by target partition (``partitionBy`` on
     whole arrays) and re-aggregated into the child's blocks, whose self
     loops go to ``selfw`` — the dataflow analog of the paper's
-    work-efficient parallel semisort compression.
+    work-efficient parallel semisort compression. The same job brings a
+    child with fewer than ``DRIVER_ROWS`` rows to the driver.
+
+    A level with fewer than ``DRIVER_ROWS`` rows has such a child for sure,
+    since compression never adds rows: its pre-aggregated pieces are
+    collected instead (one job without a shuffle on a Spark level, none on
+    a driver level) and the child's blocks are built in the driver, from
+    the pieces in logical-partition order.
     """
-    bc = level.rdd.context.broadcast(assign_dense)
 
-    def pieces(b: Block):
-        a = bc.value
-        return route(*aggregate(a[b.src], a[b.dst], b.w), partitions)
+    def pieces(b: Block, a: np.ndarray) -> tuple[int, list[tuple[int, tuple[np.ndarray, ...]]]]:
+        return b.part, list(route(*aggregate(a[b.src], a[b.dst], b.w), partitions))
 
+    if level.children_in_driver:
+        parts = sorted(level.map_blocks(pieces, assign_dense), key=lambda x: x[0])
+        blocks = regroup([pc for _, ps in parts for pc in ps], partitions, coarse_block)
+        return coarsened(level, assign_dense, n_clusters, blocks, partitions)
+    bc = level.blocks.context.broadcast(assign_dense)
     try:
-        blocks = regroup(level.rdd.flatMap(pieces), partitions, coarse_block)
-        return coarsened(level, assign_dense, n_clusters, blocks)
+        blocks = regroup(
+            level.blocks.flatMap(lambda b: pieces(b, bc.value)[1]), partitions, coarse_block
+        )
+        return coarsened(level, assign_dense, n_clusters, blocks, partitions)
     finally:
         bc.destroy()
 
@@ -387,6 +479,7 @@ class LevelStats:
 
     n: int
     m_directed: int
+    driver: bool = False  # the level's blocks were held in the driver (no Spark job)
     iters: int = 0
     moves: int = 0
     refine_iters: int = 0

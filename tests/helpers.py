@@ -88,3 +88,73 @@ def numpy_reported_objective(
     K = np.bincount(assign, weights=k, minlength=g.n)
     cc = 2.0 * w[assign[u] == assign[v]].sum() - lam * ((K**2).sum() - (k**2).sum())
     return float(cc / norm)
+
+
+
+def numpy_local_moves(
+    order, b, a, K, k, lam, U, tol, n
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Immediate best moves of the block rows in ``order``, one numpy call per vertex.
+
+    The reference for ``kernel.local_moves``. Candidate clusters come from
+    ``np.unique`` (ascending), so ``argmax`` breaks ties toward the smallest
+    id; detaching into ``U + v`` wins only when strictly better. ``a`` and
+    ``K`` are copied, not changed.
+    """
+    verts, indptr, dst_s, w_s = b.verts, b.indptr, b.dst, b.w
+    local_a = a.copy()
+    local_K = np.zeros(U + n + 1)
+    local_K[:U] = K
+    mv_v: list[int] = []
+    mv_c: list[int] = []
+    mv_d: list[float] = []
+    for i in order:
+        v = int(verts[i])
+        dsts = dst_s[indptr[i] : indptr[i + 1]]
+        ws = w_s[indptr[i] : indptr[i + 1]]
+        cd = local_a[dsts]
+        uniq, inv = np.unique(cd, return_inverse=True)
+        wvc = np.bincount(inv, weights=ws)
+        cv = int(local_a[v])
+        kv = float(k[v])
+        pos = np.searchsorted(uniq, cv)
+        own = float(wvc[pos]) if pos < len(uniq) and uniq[pos] == cv else 0.0
+        base = own - lam * kv * (local_K[cv] - kv)
+        deltas = (wvc - lam * kv * local_K[uniq]) - base
+        deltas[uniq == cv] = -np.inf
+        j = int(np.argmax(deltas)) if len(deltas) else -1
+        best_d = deltas[j] if j >= 0 else -np.inf
+        best_c = int(uniq[j]) if j >= 0 else -1
+        d_iso = -base
+        if d_iso > best_d:
+            best_d, best_c = d_iso, U + v
+        if best_d > tol:
+            local_K[cv] -= kv
+            local_K[best_c] += kv
+            local_a[v] = best_c
+            mv_v.append(v)
+            mv_c.append(best_c)
+            mv_d.append(float(best_d))
+    return (
+        np.asarray(mv_v, "int64"),
+        np.asarray(mv_c, "int64"),
+        np.asarray(mv_d, "float64"),
+    )
+
+
+def numpy_async_block_moves(
+    b, a, K, k, lam, U, tol, all_active, aux, extra, seed, n, sample=True
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``par_louvain._async_block_moves`` with the :func:`numpy_local_moves` loop.
+
+    Same frontier, participation and visiting order as the engine's pass.
+    """
+    from repro.core.par_louvain import _active_verts, _participates
+
+    in_frontier = _active_verts(b, all_active, aux, extra)
+    participate = _participates(b.verts, seed) if sample else np.ones(len(b.verts), dtype=bool)
+    active = np.flatnonzero(in_frontier & participate)
+    if len(active):
+        rng = np.random.default_rng((seed * 1_000_003 + int(b.verts[0])) % (2**63))
+        rng.shuffle(active)
+    return numpy_local_moves(active, b, a, K, k, lam, U, tol, n)

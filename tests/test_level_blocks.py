@@ -7,7 +7,7 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core import par_louvain
+from repro.core import par_louvain, state
 from repro.core.config import CCConfig
 from repro.core.par_louvain import _sync_block_moves, parallel_cc
 from repro.core.seq_louvain import build_csr, csr_objective, sequential_cc
@@ -31,6 +31,19 @@ def _graph(n: int, rows: list[tuple[int, int, float]]) -> GenGraph:
 
 def _persistent_rdds(spark) -> int:
     return spark.sparkContext._jsc.getPersistentRDDs().size()
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _no_storage_left_by_earlier_modules(spark):
+    """Release what earlier test modules left persisted before counting here.
+
+    ``connected_components`` (``localCheckpoint``) and ``triangle_list``
+    (``cache``) leave persisted RDDs behind; Spark's ContextCleaner drops
+    them whenever the JVM collects their owners, which can fall inside a
+    call whose before/after counts a test compares.
+    """
+    for rdd in spark.sparkContext._jsc.getPersistentRDDs().values():
+        rdd.unpersist()
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +79,7 @@ class _JobCounter:
         self.sc = spark.sparkContext
         self.prefix = f"budget-{next(_COUNTER_IDS)}"
         self.groups: dict[str, list[str]] = {}
+        self.on_driver: dict[str, list[bool]] = {}  # per call: ran on a driver level
         self.monkeypatch = monkeypatch
 
     def run(self, name: str, fn, *args, **kwargs):
@@ -80,9 +94,13 @@ class _JobCounter:
 
     def wrap(self, name: str) -> None:
         orig = getattr(par_louvain, name)
-        self.monkeypatch.setattr(
-            par_louvain, name, lambda *args, **kwargs: self.run(name, orig, *args, **kwargs)
-        )
+
+        def wrapped(*args, **kwargs):
+            # The first argument of every wrapped step but level0 is a level.
+            self.on_driver.setdefault(name, []).append(getattr(args[0], "driver", False))
+            return self.run(name, orig, *args, **kwargs)
+
+        self.monkeypatch.setattr(par_louvain, name, wrapped)
 
     def jobs(self, name: str) -> list[int]:
         self.sc._jsc.sc().listenerBus().waitUntilEmpty()
@@ -115,6 +133,8 @@ class _JobCounter:
 
 class TestJobBudget:
     def test_one_job_per_step(self, spark, small_graph, monkeypatch):
+        """With every level in Spark (DRIVER_ROWS = 0), each step is one job."""
+        monkeypatch.setattr(state, "DRIVER_ROWS", 0)
         gd = to_spark(spark, small_graph, partitions=4)
         gd.edges.cache().count()
         counter = _JobCounter(spark, monkeypatch)
@@ -132,7 +152,9 @@ class TestJobBudget:
         assert counter.jobs("cc_objective") == [1]
 
     def test_one_task_wave_per_step(self, spark, small_graph, monkeypatch):
-        """P=8 logical blocks run in S = min(8, cores) tasks per move pass and objective."""
+        """P=8 logical blocks run in S = min(8, cores) tasks per move pass and objective
+        (every level in Spark)."""
+        monkeypatch.setattr(state, "DRIVER_ROWS", 0)
         partitions = 8
         tasks = min(partitions, spark.sparkContext.defaultParallelism)
         gd = to_spark(spark, small_graph, partitions=partitions)
@@ -149,6 +171,86 @@ class TestJobBudget:
         compresses = counter.tasks("compress")
         assert len(compresses) >= 1 and max(compresses) <= 2 * tasks
         assert counter.tasks("cc_objective") == [tasks]
+
+    def test_driver_levels_launch_no_jobs(self, spark, small_graph, monkeypatch):
+        """Level 0 stays in Spark (one job of S tasks per step); the coarse levels,
+        far below DRIVER_ROWS, are held in the driver and launch no job."""
+        partitions = 8
+        tasks = min(partitions, spark.sparkContext.defaultParallelism)
+        gd = to_spark(spark, small_graph, partitions=partitions)
+        counter = _JobCounter(spark, monkeypatch)
+        counter.run("input", lambda: gd.edges.cache().count())
+        for name in ("level0", "_move_pass", "compress", "cc_objective"):
+            counter.wrap(name)
+        cfg = CCConfig(resolution=0.3, num_iter=3, max_levels=3, seed=12, partitions=partitions)
+        _, stats = parallel_cc(gd, cfg)
+        gd.edges.unpersist()
+        assert [l.driver for l in stats.levels] == [False] + [True] * (len(stats.levels) - 1)
+        assert len(stats.levels) == 3
+        assert counter.jobs("level0") == [1]
+        for name in ("_move_pass", "compress"):
+            on_driver = counter.on_driver[name]
+            jobs = counter.jobs(name)
+            assert {j for j, d in zip(jobs, on_driver) if d} == {0}
+            assert {j for j, d in zip(jobs, on_driver) if not d} == {1}
+        passes = zip(counter.tasks("_move_pass"), counter.on_driver["_move_pass"])
+        assert {t for t, d in passes if not d} == {tasks}
+        # Level 0 is below DRIVER_ROWS too: its compress collects the
+        # pre-aggregated pieces in one job without a shuffle.
+        assert counter.on_driver["compress"] == [False, True]
+        assert counter.tasks("compress")[0] == tasks
+        assert counter.jobs("cc_objective") == [1]
+        assert counter.tasks("cc_objective") == [tasks]
+
+    def test_small_child_of_large_level(self, spark, small_graph, monkeypatch):
+        """A level 0 of DRIVER_ROWS rows is compressed by the shuffle job, which
+        also brings the small child to the driver: one job, the same outputs as
+        building the child from collected pieces."""
+        gd = to_spark(spark, small_graph, partitions=4)
+        cfg = CCConfig(resolution=0.3, num_iter=3, max_levels=3, seed=12, partitions=4)
+        expected, expected_stats = parallel_cc(gd, cfg)
+        monkeypatch.setattr(state, "DRIVER_ROWS", 2 * len(small_graph.edges))
+        counter = _JobCounter(spark, monkeypatch)
+        counter.wrap("compress")
+        assign, stats = parallel_cc(gd, cfg)
+        assert stats.levels[0].m_directed == state.DRIVER_ROWS
+        assert [l.driver for l in stats.levels] == [False, True, True]
+        assert counter.jobs("compress") == [1, 0]
+        np.testing.assert_array_equal(assign, expected)
+        assert stats.objective == expected_stats.objective
+
+
+class TestMaterialize:
+    """Where ``state._materialize`` holds a block RDD, by its total row count."""
+
+    @staticmethod
+    def _skewed(spark):
+        # Logical block 1 holds 100 of the 107 rows; P = 8 logical blocks.
+        rows = {0: 3, 1: 100, 5: 4}
+        blocks = [
+            make_block(np.full(r, p), np.arange(r) + 10, np.ones(r), part=p)
+            for p, r in rows.items()
+        ]
+        return spark.sparkContext.parallelize(blocks, 2), 8
+
+    def test_small_skewed_level_is_collected(self, spark):
+        """107 rows < 120: held in the driver. Block 1 exceeds twice a fair share
+        (2·120/8 = 30), so the summary job does not return it and a second job
+        collects the persisted blocks; the RDD is released either way."""
+        rdd, partitions = self._skewed(spark)
+        before = _persistent_rdds(spark)
+        blocks, m, deg, _ = state._materialize(rdd, 200, partitions, driver_rows=120)
+        assert _persistent_rdds(spark) == before
+        assert isinstance(blocks, list) and [b.part for b in blocks] == [0, 1, 5]
+        assert m == 107 and deg.sum() == 107 and deg[1] == 100
+
+    def test_level_at_threshold_stays_in_spark(self, spark):
+        rdd, partitions = self._skewed(spark)
+        before = _persistent_rdds(spark)
+        blocks, m, _, _ = state._materialize(rdd, 200, partitions, driver_rows=107)
+        assert not isinstance(blocks, list) and m == 107
+        assert _persistent_rdds(spark) == before + 1
+        blocks.unpersist()
 
 
 class TestStorageHygiene:

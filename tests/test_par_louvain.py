@@ -8,6 +8,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core import state
 from repro.core.config import CCConfig
 from repro.core.par_louvain import best_moves, parallel_cc
 from repro.core.seq_louvain import build_csr, csr_objective, sequential_cc
@@ -202,66 +203,83 @@ _PIN_MOD = CCConfig(
 )
 
 
+# (cfg, compress_mode, expected hash, expected reported objective), input at P=4
+_PINNED = [
+    (CCConfig(resolution=0.3, num_iter=5, seed=5, partitions=4),
+     "spark", "f5ef2a594e95ed55", 665.0),
+    (CCConfig(resolution=0.3, num_iter=5, seed=5, partitions=4, frontier="clusters"),
+     "spark", "e786c52616a27a48", 669.4),
+    (CCConfig(resolution=1.0, objective="modularity", async_moves=False,
+              frontier="all", num_iter=5, seed=5, partitions=4),
+     "spark", "0b1cf78f62c5c844", 0.2769110931138634),
+    (CCConfig(resolution=0.3, num_iter=5, seed=5, partitions=4),
+     "driver_python", "f5ef2a594e95ed55", 665.0),
+]
+_PINNED_IDS = ["cc-async-vertices-refine", "cc-async-clusters", "mod-sync-all", "cc-driver-python"]
+
+# (input partitions, cfg, compress_mode, expected hash, expected reported objective)
+_PACKED = [
+    (8, _PIN_CC.with_(partitions=8), "spark", "1b13116808a38c3d", 649.8000000000001),
+    (8, _PIN_MOD.with_(partitions=8), "spark", "0b1cf78f62c5c844", 0.2769110931138634),
+    (8, _PIN_CC.with_(partitions=8), "driver_python", "1b13116808a38c3d", 649.8000000000001),
+    (16, _PIN_CC.with_(partitions=16), "spark", "42986674efae1158", 609.0),
+    (16, _PIN_MOD.with_(partitions=16), "spark", "0b1cf78f62c5c844", 0.2769110931138634),
+    (16, _PIN_CC.with_(partitions=16), "driver_python", "42986674efae1158", 609.0),
+    # Another input partition count: rows are routed, then regrouped.
+    (4, _PIN_CC.with_(partitions=6), "spark", "c45b8d091633fc49", 650.2),
+]
+_PACKED_IDS = [
+    "P8-cc-async-vertices-refine", "P8-mod-sync-all", "P8-cc-driver-python",
+    "P16-cc-async-vertices-refine", "P16-mod-sync-all", "P16-cc-driver-python",
+    "input4-P6-cc-async-vertices-refine",
+]
+
+
 class TestPinnedOutputs:
     """Fixed-seed outputs, pinned so that engine refactors show they change nothing.
 
     Unit edge weights make every edge-weight sum exact, so the values do not
-    depend on the order in which a partition's rows are summed.
+    depend on the order in which a partition's rows are summed. Each case
+    runs twice against the same values: with the default ``DRIVER_ROWS``,
+    where every coarse level of this graph is held in the driver, and with
+    ``DRIVER_ROWS = 0``, where every level stays in Spark.
     """
 
-    @pytest.mark.parametrize(
-        "cfg, compress_mode, expected_hash, expected_objective",
-        [
-            (CCConfig(resolution=0.3, num_iter=5, seed=5, partitions=4),
-             "spark", "f5ef2a594e95ed55", 665.0),
-            (CCConfig(resolution=0.3, num_iter=5, seed=5, partitions=4, frontier="clusters"),
-             "spark", "e786c52616a27a48", 669.4),
-            (CCConfig(resolution=1.0, objective="modularity", async_moves=False,
-                      frontier="all", num_iter=5, seed=5, partitions=4),
-             "spark", "0b1cf78f62c5c844", 0.2769110931138634),
-            (CCConfig(resolution=0.3, num_iter=5, seed=5, partitions=4),
-             "driver_python", "f5ef2a594e95ed55", 665.0),
-        ],
-        ids=["cc-async-vertices-refine", "cc-async-clusters", "mod-sync-all", "cc-driver-python"],
-    )
-    def test_assignment_and_objective(
-        self, spark, medium_graph, cfg, compress_mode, expected_hash, expected_objective
-    ):
-        gd = to_spark(spark, medium_graph, partitions=4)
+    def _check(self, spark, graph, monkeypatch, input_partitions, case, spark_levels):
+        cfg, compress_mode, expected_hash, expected_objective = case
+        if spark_levels:
+            monkeypatch.setattr(state, "DRIVER_ROWS", 0)
+        gd = to_spark(spark, graph, partitions=input_partitions)
         assign, stats = parallel_cc(gd, cfg, compress_mode=compress_mode)
+        assert len(stats.levels) > 1 and not stats.levels[0].driver
+        assert all(l.driver != spark_levels for l in stats.levels[1:])
         assert _assign_hash(assign) == expected_hash
         assert stats.reported_objective == expected_objective
+        return stats
 
-    @pytest.mark.parametrize(
-        "input_partitions, cfg, compress_mode, expected_hash, expected_objective",
-        [
-            (8, _PIN_CC.with_(partitions=8), "spark", "1b13116808a38c3d", 649.8000000000001),
-            (8, _PIN_MOD.with_(partitions=8), "spark", "0b1cf78f62c5c844", 0.2769110931138634),
-            (8, _PIN_CC.with_(partitions=8), "driver_python", "1b13116808a38c3d", 649.8000000000001),
-            (16, _PIN_CC.with_(partitions=16), "spark", "42986674efae1158", 609.0),
-            (16, _PIN_MOD.with_(partitions=16), "spark", "0b1cf78f62c5c844", 0.2769110931138634),
-            (16, _PIN_CC.with_(partitions=16), "driver_python", "42986674efae1158", 609.0),
-            # Another input partition count: rows are routed, then regrouped.
-            (4, _PIN_CC.with_(partitions=6), "spark", "c45b8d091633fc49", 650.2),
-        ],
-        ids=[
-            "P8-cc-async-vertices-refine", "P8-mod-sync-all", "P8-cc-driver-python",
-            "P16-cc-async-vertices-refine", "P16-mod-sync-all", "P16-cc-driver-python",
-            "input4-P6-cc-async-vertices-refine",
-        ],
-    )
-    def test_packed_blocks(
-        self, spark, medium_graph, input_partitions, cfg, compress_mode, expected_hash,
-        expected_objective,
-    ):
-        """P logical blocks packed into fewer Spark tasks give the same outputs."""
+    @pytest.mark.parametrize("case", _PINNED, ids=_PINNED_IDS)
+    def test_assignment_and_objective(self, spark, medium_graph, monkeypatch, case):
+        self._check(spark, medium_graph, monkeypatch, 4, case, spark_levels=False)
+
+    @pytest.mark.parametrize("case", _PINNED, ids=_PINNED_IDS)
+    def test_assignment_and_objective_spark_levels(self, spark, medium_graph, monkeypatch, case):
+        self._check(spark, medium_graph, monkeypatch, 4, case, spark_levels=True)
+
+    def _check_packed(self, spark, graph, monkeypatch, case, spark_levels):
+        input_partitions, cfg = case[:2]
         if spark.sparkContext.defaultParallelism >= cfg.partitions:
             pytest.skip("defaultParallelism >= P: every block gets its own task")
-        gd = to_spark(spark, medium_graph, partitions=input_partitions)
-        assign, stats = parallel_cc(gd, cfg, compress_mode=compress_mode)
+        stats = self._check(spark, graph, monkeypatch, input_partitions, case[1:], spark_levels)
         assert stats.tasks < cfg.partitions
-        assert _assign_hash(assign) == expected_hash
-        assert stats.reported_objective == expected_objective
+
+    @pytest.mark.parametrize("case", _PACKED, ids=_PACKED_IDS)
+    def test_packed_blocks(self, spark, medium_graph, monkeypatch, case):
+        """P logical blocks packed into fewer Spark tasks give the same outputs."""
+        self._check_packed(spark, medium_graph, monkeypatch, case, spark_levels=False)
+
+    @pytest.mark.parametrize("case", _PACKED, ids=_PACKED_IDS)
+    def test_packed_blocks_spark_levels(self, spark, medium_graph, monkeypatch, case):
+        self._check_packed(spark, medium_graph, monkeypatch, case, spark_levels=True)
 
 
 class TestNetworkxModularity:
