@@ -70,6 +70,11 @@ def spark() -> SparkSession:
         )
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        # Job-budget tests read stage and task counts back from the status
+        # tracker. Past 1000 stages Spark evicts the oldest ones, skipped
+        # stages first, which can drop a stage a test is about to count.
+        .config("spark.ui.retainedJobs", 100000)
+        .config("spark.ui.retainedStages", 100000)
         .getOrCreate()
     )
     # One line in test_output.txt that tells the driver whether the

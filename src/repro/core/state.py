@@ -31,13 +31,15 @@ flattened clustering — compression preserves it exactly (tested).
 """
 from __future__ import annotations
 
+import sys
 import time
+import zipimport
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 import pandas as pd
-from pyspark import RDD, SparkContext, StorageLevel
+from pyspark import RDD, SparkContext, StorageLevel, TaskContext
 from pyspark.serializers import NoOpSerializer
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
@@ -45,16 +47,53 @@ from pyspark.sql.types import StructType
 
 from ..graphs.ops import EDGE_SCHEMA, GraphData
 
+
+class _KeptZipImporter(zipimport.zipimporter):
+    """A zip importer that keeps the archive directory it read."""
+
+    def invalidate_caches(self) -> None:
+        pass
+
+
+def _keep_worker_zip_indexes() -> None:
+    """Stop this Spark Python worker re-reading its zip archives before each task.
+
+    Spark's worker calls ``importlib.invalidate_caches()`` at the start of
+    every task, reused workers included, and ``zipimporter.invalidate_caches``
+    re-reads the whole directory of its archive. The worker's ``sys.path``
+    puts pyspark.zip (a cached importer per package imported from it) and
+    the spark-core jar first, so every task re-read them: on a 4-core host
+    a no-op 4-task Python job took 0.32–0.34 s with the re-reads and 0.12 s
+    without. The archives do not change while a worker lives, so inside a
+    task every zip importer, cached or made later, becomes one whose
+    ``invalidate_caches`` does nothing. The driver's import system is left
+    alone.
+    """
+    if TaskContext.get() is None:
+        return
+    sys.path_hooks[:] = [
+        _KeptZipImporter if h is zipimport.zipimporter else h for h in sys.path_hooks
+    ]
+    for finder in sys.path_importer_cache.values():
+        if type(finder) is zipimport.zipimporter:
+            finder.__class__ = _KeptZipImporter
+
+
+_keep_worker_zip_indexes()
+
 _NO_IDS = np.empty(0, dtype="int64")
 _NO_WEIGHTS = np.empty(0, dtype="float64")
 
 # A coarse level with fewer directed rows than this is held in the driver.
 # A move pass over r rows costs about J + c·r/S as an S-task Spark job and
 # c·r in the driver, so the driver is cheaper below r = J·S/((S−1)·c).
-# Measured on a 4-core container: J ≈ 0.33–0.35 s (p50 of a no-op 4-task
-# Python job), c ≈ 0.5–0.7 µs per row (the list kernel over lj-lite's level-0
-# blocks), giving 0.63–0.93M rows; rounded down to a power of two. Level 0,
-# the caller's distributed input, always stays in Spark.
+# Measured on a 4-core container: J ≈ 0.12 s (p50 of a no-op 4-task Python
+# job in workers that have imported this module), c ≈ 0.6–1.0 µs per row (the
+# list kernel over lj-lite's level-0 blocks), giving 0.16–0.27M rows. The
+# rule leaves out that a child held in Spark also costs compress a shuffle:
+# at 2^18 rows lj-lite's 300k-row level 1 went to Spark and a traced run got
+# slower (compress 0.28–0.31 → 0.54–0.58 s), so the bound stays 2^19. Level
+# 0, the caller's distributed input, always stays in Spark.
 DRIVER_ROWS = 1 << 19
 
 

@@ -2,7 +2,8 @@
 
 Used by the Tectonic baseline (clusters = components of the pruned
 graph). Pure Catalyst: each round joins current labels across edges and
-takes the min; ``localCheckpoint`` truncates the iterative lineage.
+takes the min; ``localCheckpoint`` truncates the iterative lineage, and each
+round's checkpoint is released once the next one exists.
 """
 from __future__ import annotations
 
@@ -11,6 +12,11 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from .ops import GraphData
+
+
+def _release(checkpointed: DataFrame) -> None:
+    """Unpersist the RDD behind a ``localCheckpoint``ed DataFrame (unusable after)."""
+    checkpointed._jdf.queryExecution().logical().rdd().unpersist(False)
 
 
 def connected_components(g: GraphData, *, max_rounds: int = 60) -> np.ndarray:
@@ -25,6 +31,7 @@ def connected_components(g: GraphData, *, max_rounds: int = 60) -> np.ndarray:
     )
     labels = labels.localCheckpoint()
     for _ in range(max_rounds):
+        ckpt = labels
         # Candidate label for v: min over labels of v's neighbors.
         nbr_min = (
             g.edges.join(labels, g.edges["dst"] == labels["v"])
@@ -59,9 +66,11 @@ def connected_components(g: GraphData, *, max_rounds: int = 60) -> np.ndarray:
             )
             .localCheckpoint()
         )
+        _release(ckpt)
         if changed == 0:
             break
     pdf = labels.toPandas()
+    _release(labels)
     out = np.arange(g.n, dtype="int64")
     out[pdf["v"].to_numpy()] = pdf["lbl"].to_numpy()
     return out

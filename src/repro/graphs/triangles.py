@@ -39,7 +39,7 @@ def _oriented(g: GraphData) -> DataFrame:
 
 def triangle_list(g: GraphData) -> DataFrame:
     """All triangles as rows (x, y, z) with x < y < z."""
-    e = _oriented(g).cache()
+    e = _oriented(g)
     w1 = e.select(F.col("a"), F.col("b").alias("b1"))
     w2 = e.select(F.col("a"), F.col("b").alias("b2"))
     wedges = w1.join(w2, "a").where(F.col("b1") < F.col("b2"))

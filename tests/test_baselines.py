@@ -1,4 +1,6 @@
 """Tests for Tectonic, SCD, the NetworKit stand-in, and dense LambdaCC."""
+import hashlib
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -73,6 +75,21 @@ class TestSCD:
         labels = scd(spark, g, partitions=2)
         assert len(set(labels[:5])) == 1
         assert labels[5] != labels[0] and labels[6] != labels[0]
+
+
+def _labels_hash(labels: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(labels, dtype="<i8").tobytes()).hexdigest()[:16]
+
+
+class TestPinnedOutputs:
+    """Labels on ``comm_graph``, taken from before their triangle counts and
+    connected components stopped leaving persisted RDDs behind."""
+
+    def test_tectonic(self, comm_gd):
+        assert _labels_hash(tectonic(comm_gd, theta=0.1)) == "2954b7bf6238b83e"
+
+    def test_scd(self, spark, comm_graph):
+        assert _labels_hash(scd(spark, comm_graph, partitions=4)) == "2c2632d549c1dbf1"
 
 
 class TestNetworKitLike:

@@ -24,6 +24,10 @@ def _union_find(n: int, edges: pd.DataFrame) -> np.ndarray:
     return np.array([find(x) for x in range(n)])
 
 
+def _persisted_ids(spark) -> set:
+    return set(spark.sparkContext._jsc.getPersistentRDDs().keySet())
+
+
 def _same_partition(a: np.ndarray, b: np.ndarray) -> bool:
     da = pd.Series(a).groupby(a).ngroup().to_numpy()
     db = pd.Series(b).groupby(b).ngroup().to_numpy()
@@ -63,3 +67,10 @@ class TestConnectedComponents:
         labels = connected_components(to_spark(spark, g, partitions=2))
         assert labels[0] == labels[1]
         assert len({labels[2], labels[3], labels[4]}) == 3
+
+    def test_leaves_no_persisted_rdd(self, spark):
+        g = gen.planted_partition(400, avg_deg=3, mixing=0.4, seed=3)
+        gd = to_spark(spark, g, partitions=4)
+        before = _persisted_ids(spark)
+        connected_components(gd)
+        assert _persisted_ids(spark) - before == set()

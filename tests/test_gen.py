@@ -159,5 +159,8 @@ class TestSynthDataReexports:
     def test_reexports_available(self):
         from repro import synth_data
 
+        names = ("GenGraph", "blobs", "digits_like", "karate", "knn_graph", "letter_like",
+                 "lite_graph", "lite_suite", "planted_partition", "rmat")
+        for name in names:
+            assert getattr(synth_data, name) is getattr(gen, name)
         assert synth_data.karate().n == 34
-        assert synth_data.rmat(6, 50, seed=0).n == 64

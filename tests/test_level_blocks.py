@@ -37,10 +37,10 @@ def _persistent_rdds(spark) -> int:
 def _no_storage_left_by_earlier_modules(spark):
     """Release what earlier test modules left persisted before counting here.
 
-    ``connected_components`` (``localCheckpoint``) and ``triangle_list``
-    (``cache``) leave persisted RDDs behind; Spark's ContextCleaner drops
-    them whenever the JVM collects their owners, which can fall inside a
-    call whose before/after counts a test compares.
+    Spark's ContextCleaner drops a leftover persisted RDD whenever the JVM
+    collects its owner, which can fall inside a call whose before/after
+    counts a test compares. (``connected_components`` and ``triangle_list``
+    used to leave such RDDs; their own tests now check that they do not.)
     """
     for rdd in spark.sparkContext._jsc.getPersistentRDDs().values():
         rdd.unpersist()

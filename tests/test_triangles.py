@@ -23,6 +23,10 @@ def tri_graph(spark):
     gd.edges.unpersist()
 
 
+def _persisted_ids(spark) -> set:
+    return set(spark.sparkContext._jsc.getPersistentRDDs().keySet())
+
+
 _TRI_SQL = """
 SELECT COUNT(*) AS t FROM e e1
 JOIN e e2 ON e1.v = e2.u
@@ -88,3 +92,15 @@ class TestVertexCounts:
         pdf = vertex_triangle_counts(to_spark(spark, g, partitions=2)).toPandas()
         center = pdf.set_index("v").loc[0, "tri"]
         assert center == k
+
+
+@pytest.mark.parametrize(
+    "counts, seed", [(edge_triangle_counts, 11), (vertex_triangle_counts, 12)]
+)
+def test_counting_leaves_no_persisted_rdd(spark, counts, seed):
+    # A graph of its own: Spark caches a plan once, so a plan an earlier
+    # test already cached would not show a new persisted RDD.
+    gd = to_spark(spark, gen.planted_partition(120, avg_deg=6, mixing=0.3, seed=seed), partitions=4)
+    before = _persisted_ids(spark)
+    assert counts(gd).collect()
+    assert _persisted_ids(spark) - before == set()
