@@ -1,11 +1,13 @@
 """Tests for KwikCluster / C4 / ClusterWild! (baselines.pivot)."""
+import hashlib
+
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.baselines.pivot import kwikcluster, parallel_pivot
 from repro.core.seq_louvain import build_csr, csr_objective
-from repro.graphs.gen import GenGraph, planted_partition
+from repro.graphs.gen import GenGraph, lite_graph, planted_partition
 from repro.graphs.ops import to_spark
 
 
@@ -93,3 +95,33 @@ class TestParallelPivot:
         csr = build_csr(g.edges, g.n, np.ones(g.n))
         obj = csr_objective(csr, labels, 0.85)
         assert obj < 0  # large λ punishes the coarse pivot clusters
+
+
+def _labels_hash(labels: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(labels, dtype="<i8").tobytes()).hexdigest()[:16]
+
+
+def _isolated_graph() -> GenGraph:
+    edges = pd.DataFrame({"u": [0, 1, 3, 6], "v": [1, 2, 6, 8], "w": [1.0] * 4})
+    return GenGraph(name="iso", n=10, edges=edges)
+
+
+class TestPinnedOutputs:
+    """Fixed-seed KwikCluster labels, pinned so that a change of how its CSR is
+    built shows it visits the same neighbours in the same order."""
+
+    @pytest.mark.parametrize(
+        "graph, seed, expected_hash",
+        [
+            (lambda: planted_partition(300, avg_deg=6, mixing=0.3, seed=1), 2, "cb126bf48c753d72"),
+            (lambda: lite_graph("amazon-lite"), 2, "5182c701ec106300"),
+            (_isolated_graph, 4, "6f01dca257f0703f"),
+        ],
+        ids=["planted-300", "amazon-lite", "isolated"],
+    )
+    def test_labels(self, graph, seed, expected_hash):
+        assert _labels_hash(kwikcluster(graph(), seed=seed)) == expected_hash
+
+    def test_isolated_labels(self):
+        labels = kwikcluster(_isolated_graph(), seed=4)
+        assert labels.tolist() == [1, 1, 1, 3, 4, 5, 8, 7, 8, 9]
