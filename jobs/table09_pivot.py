@@ -15,7 +15,8 @@ import numpy as np
 from repro.baselines.pivot import kwikcluster, parallel_pivot
 from repro.core.config import CCConfig
 from repro.core.par_louvain import parallel_cc
-from repro.core.seq_louvain import build_csr, csr_objective
+from repro.core.seq_louvain import build_csr
+from repro.core.state import cc_objective
 from repro.eval.harness import table
 from repro.eval.quality import avg_precision_recall
 from repro.graphs.gen import lite_suite
@@ -27,7 +28,7 @@ def run(spark, quick: bool = False):
     rows = []
     for name, g in lite_suite(graphs).items():
         gt = g.gt_communities()
-        csr = build_csr(g.edges, g.n, np.ones(g.n))
+        lvl = build_csr(g.edges, g.n, np.ones(g.n))
         gd = to_spark(spark, g, partitions=8)
         gd.edges.cache().count()
 
@@ -38,8 +39,8 @@ def run(spark, quick: bool = False):
                     "graph": name,
                     "algo": algo,
                     "time_s": t,
-                    "cc_obj@0.5": csr_objective(csr, labels, 0.5),
-                    "cc_obj@0.85": csr_objective(csr, labels, 0.85),
+                    "cc_obj@0.5": cc_objective(lvl, labels, 0.5),
+                    "cc_obj@0.85": cc_objective(lvl, labels, 0.85),
                     "n_clusters": len(np.unique(labels)),
                     "precision": prec,
                     "recall": rec,

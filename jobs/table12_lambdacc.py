@@ -14,7 +14,8 @@ import numpy as np
 
 from repro.baselines.lambdacc_dense import lambdacc_dense
 from repro.core.config import CCConfig
-from repro.core.seq_louvain import build_csr, csr_objective, sequential_cc
+from repro.core.seq_louvain import build_csr, sequential_cc
+from repro.core.state import cc_objective
 from repro.eval.harness import table
 from repro.graphs.gen import karate, planted_partition
 
@@ -29,7 +30,7 @@ def run(spark=None, quick: bool = False):
         )
     rows = []
     for g in graphs:
-        csr = build_csr(g.edges, g.n, np.ones(g.n))
+        lvl = build_csr(g.edges, g.n, np.ones(g.n))
         t0 = time.perf_counter()
         labels_d = lambdacc_dense(g, lam, seed=10)
         t_dense = time.perf_counter() - t0
@@ -45,8 +46,8 @@ def run(spark=None, quick: bool = False):
                 "dense_time_s": t_dense,
                 "sparse_seq_time_s": t_sparse,
                 "dense_slowdown_x": t_dense / max(t_sparse, 1e-9),
-                "dense_obj": csr_objective(csr, labels_d, lam),
-                "sparse_obj": csr_objective(csr, labels_s, lam),
+                "dense_obj": cc_objective(lvl, labels_d, lam),
+                "sparse_obj": cc_objective(lvl, labels_s, lam),
             }
         )
     return table(rows, title="T12: dense-matrix LambdaCC stand-in scaling wall (C.1)")

@@ -23,7 +23,7 @@ from pyspark.sql.types import LongType, StructField, StructType
 
 from ..graphs.gen import GenGraph
 from ..graphs.ops import GraphData
-from ..core.state import map_edge_partitions
+from ..core.state import map_edge_partitions, undirected_block
 
 _UNSET = -1
 
@@ -36,15 +36,8 @@ def kwikcluster(g: GenGraph, *, seed: int = 0) -> np.ndarray:
     """Sequential PIVOT/KwikCluster; returns a cluster label per vertex."""
     rng = np.random.default_rng(seed)
     n = g.n
-    u = g.edges["u"].to_numpy()
-    v = g.edges["v"].to_numpy()
-    src = np.concatenate([u, v])
-    dst = np.concatenate([v, u])
-    order = np.argsort(src, kind="stable")
-    src, dst = src[order], dst[order]
-    indptr = np.zeros(n + 1, dtype="int64")
-    np.add.at(indptr, src + 1, 1)
-    indptr = np.cumsum(indptr)
+    b = undirected_block(g.edges)
+    indptr, dst = np.searchsorted(b.src, np.arange(n + 1)), b.dst
     labels = np.full(n, _UNSET, dtype="int64")
     for p in rng.permutation(n):
         if labels[p] != _UNSET:

@@ -19,21 +19,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.state import undirected_block
 from ..graphs.gen import GenGraph
 from ..graphs.ops import GraphData, to_spark
 from ..graphs.triangles import vertex_triangle_counts
-
-
-def _csr(g: GenGraph) -> tuple[np.ndarray, np.ndarray]:
-    u = g.edges["u"].to_numpy()
-    v = g.edges["v"].to_numpy()
-    src = np.concatenate([u, v])
-    dst = np.concatenate([v, u])
-    order = np.argsort(src, kind="stable")
-    src, dst = src[order], dst[order]
-    indptr = np.zeros(g.n + 1, dtype="int64")
-    np.add.at(indptr, src + 1, 1)
-    return np.cumsum(indptr), dst
 
 
 def scd(spark, g: GenGraph, *, improvement_passes: int = 2, partitions: int = 8) -> np.ndarray:
@@ -43,7 +32,8 @@ def scd(spark, g: GenGraph, *, improvement_passes: int = 2, partitions: int = 8)
     tri = np.zeros(g.n)
     if len(tri_pdf):
         tri[tri_pdf["v"].to_numpy()] = tri_pdf["tri"].to_numpy()
-    indptr, nbrs = _csr(g)
+    b = undirected_block(g.edges)
+    indptr, nbrs = np.searchsorted(b.src, np.arange(g.n + 1)), b.dst
     deg = np.diff(indptr)
     # Local clustering coefficient; isolated/degree-1 vertices get 0.
     denom = np.maximum(deg * (deg - 1) / 2.0, 1.0)

@@ -1,20 +1,20 @@
 """SEQUENTIAL-CC (Algorithm 2): the paper's sequential Louvain baseline.
 
-A faithful single-threaded implementation over a driver-side CSR: vertices
-are visited in a fresh random permutation each sweep and moved
-*immediately* (exact, fully consistent cluster weights — the sequential
-dependency the paper proves P-complete to parallelize). Sweeps repeat
-while the objective increases, capped at ``num_iter`` unless
-``to_convergence`` (the paper's SEQ^CON superscript). Compression,
-flattening, the neighbors-of-moved-vertices frontier, and multi-level
-refinement mirror the parallel engine (§4.2 notes the sequential
-baselines include the applicable optimizations).
+A faithful single-threaded implementation over the engine's own level
+type: each level is a driver :class:`~.state.LevelGraph` with one block
+(P = 1), so no step launches a Spark job. Vertices are visited in a fresh
+random permutation each sweep and moved *immediately* (exact, fully
+consistent cluster weights — the sequential dependency the paper proves
+P-complete to parallelize). Sweeps repeat while the objective increases,
+capped at ``num_iter`` unless ``to_convergence`` (the paper's SEQ^CON
+superscript). The move kernel, compression, objective, flattening, the
+neighbors-of-moved-vertices frontier, and multi-level refinement are the
+parallel engine's (§4.2 notes the sequential baselines include the
+applicable optimizations); SEQ differs from PAR only in scheduling.
 
 SEQ-CC / SEQ-MOD run here; PAR-CC / PAR-MOD in ``par_louvain``.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
@@ -22,57 +22,29 @@ import pandas as pd
 from ..graphs.gen import GenGraph
 from .config import CCConfig
 from .kernel import local_moves
-from .state import LevelStats, RunStats, Timer, densify
+from .state import (
+    LevelGraph,
+    LevelStats,
+    RunStats,
+    Timer,
+    base_level,
+    cc_objective,
+    compress,
+    densify,
+    undirected_block,
+)
 
 
-@dataclass
-class CSRLevel:
-    """Driver-side level graph: CSR adjacency + the per-vertex state."""
+def build_csr(edges: pd.DataFrame, n: int, k: np.ndarray | None = None) -> LevelGraph:
+    """SEQ's level 0 from an undirected (u < v) edge list: one driver block (selfw=0, sq=k²).
 
-    indptr: np.ndarray
-    nbrs: np.ndarray
-    ws: np.ndarray
-    n: int
-    k: np.ndarray
-    sq: np.ndarray
-    selfw: np.ndarray
-
-    @property
-    def m_directed(self) -> int:
-        return len(self.nbrs)
-
-
-def build_csr(edges: pd.DataFrame, n: int, k: np.ndarray) -> CSRLevel:
-    """CSR from an undirected (u < v) edge list; selfw=0, sq=k²."""
-    u = edges["u"].to_numpy()
-    v = edges["v"].to_numpy()
-    w = edges["w"].to_numpy().astype("float64")
-    src = np.concatenate([u, v])
-    dst = np.concatenate([v, u])
-    ww = np.concatenate([w, w])
-    order = np.argsort(src, kind="stable")
-    src, dst, ww = src[order], dst[order], ww[order]
-    indptr = np.zeros(n + 1, dtype="int64")
-    np.add.at(indptr, src + 1, 1)
-    indptr = np.cumsum(indptr)
-    kk = k.astype("float64")
-    return CSRLevel(
-        indptr=indptr, nbrs=dst, ws=ww, n=n, k=kk, sq=kk**2, selfw=np.zeros(n)
-    )
-
-
-def csr_objective(level: CSRLevel, assign: np.ndarray, lam: float) -> float:
-    """Same level-invariant ordered-pair objective as ``state.cc_objective``."""
-    src = np.repeat(np.arange(level.n), np.diff(level.indptr))
-    same = assign[src] == assign[level.nbrs]
-    intra = float(level.ws[same].sum())
-    dense, nc = densify(assign)
-    K = np.bincount(dense, weights=level.k, minlength=nc)
-    return intra + 2.0 * level.selfw.sum() - lam * ((K**2).sum() - level.sq.sum())
+    ``k=None`` takes the weighted degrees as vertex weights, as ``state.level0`` does.
+    """
+    return base_level([undirected_block(edges)], n, k)
 
 
 def _sweeps(
-    level: CSRLevel,
+    level: LevelGraph,
     assign_init: np.ndarray,
     lam: float,
     cfg: CCConfig,
@@ -85,7 +57,11 @@ def _sweeps(
     move strictly increases the objective).
     """
     assign, U = densify(assign_init)
-    indptr, nbrs, ws, k = (x.tolist() for x in (level.indptr, level.nbrs, level.ws, level.k))
+    (b,) = level.blocks
+    # Row offsets by vertex id, so the kernel visits vertex ids and a vertex
+    # without rows (isolated) is skipped.
+    indptr = np.searchsorted(b.src, np.arange(level.n + 1)).tolist()
+    dst, ws, k = b.dst.tolist(), b.w.tolist(), level.k.tolist()
     verts = range(level.n)
     frontier = np.ones(level.n, dtype=bool)
     total_moves = 0
@@ -97,7 +73,7 @@ def _sweeps(
         K = np.bincount(assign, weights=level.k, minlength=U).tolist()
         K.extend([0.0] * (level.n + 1))
         moved, _, _ = local_moves(
-            order.tolist(), indptr, nbrs, ws, verts, a, K, k, lam, U, cfg.move_tol
+            order.tolist(), indptr, dst, ws, verts, a, K, k, lam, U, cfg.move_tol
         )
         if not moved:
             break
@@ -111,7 +87,7 @@ def _sweeps(
             moved_mask = np.zeros(level.n, dtype=bool)
             moved_mask[moved] = True
             frontier = np.zeros(level.n, dtype=bool)
-            frontier[level.nbrs[np.repeat(moved_mask, np.diff(level.indptr))]] = True
+            frontier[b.dst[moved_mask[b.src]]] = True
         # Re-densify so singleton labels stay compact.
         assign, U = densify(assign)
         if not frontier.any():
@@ -119,46 +95,20 @@ def _sweeps(
     return densify(assign)[0], total_moves, sweeps
 
 
-def compress_csr(level: CSRLevel, assign_dense: np.ndarray, n_clusters: int) -> CSRLevel:
-    """SEQUENTIAL-COMPRESS: pandas groupby aggregation into a new CSR."""
-    src = np.repeat(np.arange(level.n), np.diff(level.indptr))
-    cs = assign_dense[src]
-    cd = assign_dense[level.nbrs]
-    df = pd.DataFrame({"s": cs, "d": cd, "w": level.ws})
-    agg = df.groupby(["s", "d"], sort=True)["w"].sum().reset_index()
-    selfrows = agg["s"].to_numpy() == agg["d"].to_numpy()
-    selfw = np.bincount(assign_dense, weights=level.selfw, minlength=n_clusters)
-    if selfrows.any():
-        np.add.at(
-            selfw, agg["s"].to_numpy()[selfrows], agg["w"].to_numpy()[selfrows] / 2.0
-        )
-    rest = agg[~selfrows]
-    s = rest["s"].to_numpy()
-    d = rest["d"].to_numpy()
-    w = rest["w"].to_numpy()
-    indptr = np.zeros(n_clusters + 1, dtype="int64")
-    np.add.at(indptr, s + 1, 1)
-    indptr = np.cumsum(indptr)
-    return CSRLevel(
-        indptr=indptr,
-        nbrs=d.astype("int64"),
-        ws=w.astype("float64"),
-        n=n_clusters,
-        k=np.bincount(assign_dense, weights=level.k, minlength=n_clusters),
-        sq=np.bincount(assign_dense, weights=level.sq, minlength=n_clusters),
-        selfw=selfw,
-    )
+def compress_csr(level: LevelGraph, assign_dense: np.ndarray, n_clusters: int) -> LevelGraph:
+    """SEQUENTIAL-COMPRESS: ``state.compress`` of a one-block driver level, in the driver."""
+    return compress(level, assign_dense, n_clusters, partitions=1)
 
 
 def _recurse_seq(
-    level: CSRLevel,
+    level: LevelGraph,
     depth: int,
     lam: float,
     cfg: CCConfig,
     stats: RunStats,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    lstats = LevelStats(n=level.n, m_directed=level.m_directed)
+    lstats = LevelStats(n=level.n, m_directed=level.m_directed, driver=level.driver)
     stats.levels.append(lstats)
     with Timer() as t:
         assign, nmoves, sweeps = _sweeps(level, np.arange(level.n), lam, cfg, rng)
@@ -181,28 +131,21 @@ def _recurse_seq(
 
 def sequential_cc(g: GenGraph, cfg: CCConfig) -> tuple[np.ndarray, RunStats]:
     """Run SEQ-CC / SEQ-MOD on a generated graph; returns (assignment, stats)."""
-    deg = np.zeros(g.n)
-    u = g.edges["u"].to_numpy()
-    v = g.edges["v"].to_numpy()
-    w = g.edges["w"].to_numpy().astype("float64")
-    np.add.at(deg, u, w)
-    np.add.at(deg, v, w)
-    two_w = float(deg.sum())
-    if cfg.objective == "modularity":
-        k0 = deg
+    modularity = cfg.objective == "modularity"
+    lvl0 = build_csr(g.edges, g.n, None if modularity else np.ones(g.n))
+    two_w = float(lvl0.deg.sum())
+    if modularity:
         lam = cfg.resolution / two_w if two_w > 0 else 0.0
     else:
-        k0 = np.ones(g.n)
         lam = cfg.resolution
     rng = np.random.default_rng(cfg.seed)
     stats = RunStats(algo=f"seq-{cfg.objective}", lam=lam, two_w=two_w)
-    lvl0 = build_csr(g.edges, g.n, k0)
     with Timer() as t:
         assign = _recurse_seq(lvl0, 0, lam, cfg, stats, rng)
     stats.total_time = t.s
-    stats.objective = csr_objective(lvl0, assign, lam)
+    stats.objective = cc_objective(lvl0, assign, lam)
     stats.reported_objective = (
-        stats.objective / two_w if cfg.objective == "modularity" and two_w > 0 else stats.objective
+        stats.objective / two_w if modularity and two_w > 0 else stats.objective
     )
     stats.n_clusters = int(assign.max()) + 1 if len(assign) else 0
     return assign, stats

@@ -12,7 +12,8 @@ Spark's own grouping when it coalesces its input), so every per-block job
 is one wave of S tasks. A coarse level with fewer than ``DRIVER_ROWS``
 directed rows is instead held in the driver as a list of the same blocks,
 and every step on it runs the same per-block functions there, without a
-Spark job (:meth:`LevelGraph.map_blocks`).
+Spark job (:meth:`LevelGraph.map_blocks`). SEQ-CC's levels are such driver
+levels from the start, with one block (P = 1; :func:`base_level`).
 Per-vertex driver state (O(n) numpy arrays) rides alongside:
 
 - ``k``     — LambdaCC vertex weight of the (super)vertex,
@@ -31,6 +32,7 @@ flattened clustering — compression preserves it exactly (tested).
 """
 from __future__ import annotations
 
+import functools
 import sys
 import time
 import zipimport
@@ -127,6 +129,18 @@ def make_block(
     verts, starts = np.unique(src, return_index=True)
     indptr = np.append(starts, len(src)).astype("int64")
     return Block(verts, indptr, src, dst, w, loop_v, loop_w, part)
+
+
+def undirected_block(edges: pd.DataFrame) -> Block:
+    """One block of both directions of an undirected (u < v) edge list.
+
+    A vertex's rows keep edge-list order: those where it is ``u``, then
+    those where it is ``v``.
+    """
+    u = edges["u"].to_numpy()
+    v = edges["v"].to_numpy()
+    w = edges["w"].to_numpy().astype("float64")
+    return make_block(np.concatenate([u, v]), np.concatenate([v, u]), np.concatenate([w, w]))
 
 
 def _rotl(x: np.ndarray, r: int) -> np.ndarray:
@@ -420,9 +434,20 @@ def level0(
         ).coalesce(task_count(sc, partitions))
     else:
         blocks = regroup(cols.flatMap(lambda c: route(*c, partitions)), partitions, make_block)
-    blocks, m, deg, _ = _materialize(blocks, g.n, partitions)
+    return base_level(blocks, g.n, k, partitions)
+
+
+def base_level(
+    blocks: RDD | list[Block], n: int, k: np.ndarray | None = None, partitions: int = 1
+) -> LevelGraph:
+    """The uncoarsened level over ``blocks`` (selfw=0, sq=k²).
+
+    ``k=None`` takes the weighted degrees as vertex weights. A list of
+    blocks makes a driver level, on which no step launches a Spark job.
+    """
+    blocks, m, deg, _ = _materialize(blocks, n, partitions)
     k = (deg if k is None else k).astype("float64")
-    return LevelGraph(blocks=blocks, n=g.n, k=k, sq=k**2, selfw=np.zeros(g.n), deg=deg, m_directed=m)
+    return LevelGraph(blocks=blocks, n=n, k=k, sq=k**2, selfw=np.zeros(n), deg=deg, m_directed=m)
 
 
 def map_edge_partitions(
@@ -436,15 +461,22 @@ def map_edge_partitions(
     program needs all edges of a vertex at once (they are co-located when
     edges are hash-partitioned by src), so chunks are concatenated before
     calling ``fn``.
+
+    The runner is a function of this module, so a worker unpickles it by
+    importing the module, which keeps that worker's zip indexes
+    (:func:`_keep_worker_zip_indexes`); a nested function would be pickled
+    by value and leave them to be re-read before every task.
     """
+    return edges.mapInPandas(functools.partial(_whole_partition, fn), schema=schema)
 
-    def runner(it: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        chunks = list(it)
-        if not chunks:
-            return
-        yield fn(pd.concat(chunks, ignore_index=True) if len(chunks) > 1 else chunks[0])
 
-    return edges.mapInPandas(runner, schema=schema)
+def _whole_partition(
+    fn: Callable[[pd.DataFrame], pd.DataFrame], it: Iterator[pd.DataFrame]
+) -> Iterator[pd.DataFrame]:
+    chunks = list(it)
+    if not chunks:
+        return
+    yield fn(pd.concat(chunks, ignore_index=True) if len(chunks) > 1 else chunks[0])
 
 
 def intra_weight(level: LevelGraph, assign: np.ndarray) -> float:

@@ -90,6 +90,36 @@ def numpy_reported_objective(
     return float(cc / norm)
 
 
+def pandas_compress(
+    src: np.ndarray,
+    dst: np.ndarray,
+    w: np.ndarray,
+    k: np.ndarray,
+    sq: np.ndarray,
+    selfw: np.ndarray,
+    assign_dense: np.ndarray,
+    n_clusters: int,
+) -> tuple[pd.DataFrame, np.ndarray, np.ndarray, np.ndarray]:
+    """SEQUENTIAL-COMPRESS as a pandas groupby: the reference for ``state.compress``.
+
+    Takes a level's directed rows and per-vertex ``k``/``sq``/``selfw``.
+    Returns the child's directed rows without self loops (columns ``s``,
+    ``d``, ``w``, sorted by ``s`` then ``d``) and its ``k``, ``sq`` and
+    ``selfw``. A directed self loop counts an unordered intra edge twice, so
+    half of its weight joins ``selfw``.
+    """
+    df = pd.DataFrame({"s": assign_dense[src], "d": assign_dense[dst], "w": w})
+    agg = df.groupby(["s", "d"], sort=True)["w"].sum().reset_index()
+    loops = agg["s"] == agg["d"]
+
+    def fold(x: np.ndarray) -> np.ndarray:
+        return np.bincount(assign_dense, weights=x, minlength=n_clusters)
+
+    child_selfw = fold(selfw)
+    np.add.at(child_selfw, agg["s"][loops].to_numpy(), agg["w"][loops].to_numpy() / 2.0)
+    rows = agg[~loops].reset_index(drop=True)
+    return rows, fold(k), fold(sq), child_selfw
+
 
 def numpy_local_moves(
     order, b, a, K, k, lam, U, tol, n

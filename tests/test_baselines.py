@@ -16,6 +16,8 @@ from repro.eval.quality import avg_precision_recall
 from repro.graphs.gen import GenGraph, karate, planted_partition
 from repro.graphs.ops import to_spark
 
+from tests.helpers import numpy_reported_objective
+
 
 @pytest.fixture(scope="module")
 def comm_graph():
@@ -119,10 +121,7 @@ class TestLambdaCCDense:
         lam = 0.05
         labels = lambdacc_dense(g, lam, seed=1)
         _, stats = sequential_cc(g, CCConfig(resolution=lam, to_convergence=True, seed=1))
-        from repro.core.seq_louvain import build_csr, csr_objective
-
-        csr = build_csr(g.edges, g.n, np.ones(g.n))
-        dense_obj = csr_objective(csr, labels, lam)
+        dense_obj = numpy_reported_objective(g, labels, lam)
         assert dense_obj >= 0.8 * stats.objective
 
     def test_two_cliques(self):

@@ -10,8 +10,8 @@ import pandas as pd
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.seq_louvain import build_csr, compress_csr, csr_objective
-from repro.core.state import densify
+from repro.core.seq_louvain import build_csr, compress_csr
+from repro.core.state import cc_objective, densify
 from repro.graphs.gen import GenGraph
 
 from tests.helpers import brute_cc, brute_modularity
@@ -62,7 +62,7 @@ class TestObjectiveProperties:
     def test_csr_matches_brute(self, ga, lam):
         g, assign = ga
         csr = build_csr(g.edges, g.n, np.ones(g.n))
-        assert abs(csr_objective(csr, assign, lam) - brute_cc(g, assign, lam)) < 1e-8
+        assert abs(cc_objective(csr, assign, lam) - brute_cc(g, assign, lam)) < 1e-8
 
     @given(ga=graph_and_assign(), lam=st.floats(0.0, 1.0, allow_nan=False))
     @_SETTINGS
@@ -71,8 +71,8 @@ class TestObjectiveProperties:
         csr = build_csr(g.edges, g.n, np.ones(g.n))
         dense, nc = densify(assign)
         child = compress_csr(csr, dense, nc)
-        got = csr_objective(child, np.arange(nc), lam)
-        exp = csr_objective(csr, dense, lam)
+        got = cc_objective(child, np.arange(nc), lam)
+        exp = cc_objective(csr, dense, lam)
         assert abs(got - exp) < 1e-8
 
     @given(
@@ -89,8 +89,8 @@ class TestObjectiveProperties:
         coarse = np.random.default_rng(coarse_seed).integers(0, 3, size=nc)
         assert (
             abs(
-                csr_objective(child, coarse, lam)
-                - csr_objective(csr, coarse[dense], lam)
+                cc_objective(child, coarse, lam)
+                - cc_objective(csr, coarse[dense], lam)
             )
             < 1e-8
         )
@@ -104,7 +104,7 @@ class TestObjectiveProperties:
         np.add.at(deg, g.edges["v"].to_numpy(), g.edges["w"].to_numpy())
         two_m = deg.sum()
         csr = build_csr(g.edges, g.n, deg)
-        cc = csr_objective(csr, assign, gamma / two_m)
+        cc = cc_objective(csr, assign, gamma / two_m)
         assert abs(cc / two_m - brute_modularity(g, assign, gamma)) < 1e-8
 
 
@@ -127,15 +127,16 @@ class TestMoveDeltaProperty:
         if c_new == cv:
             return
         K = np.bincount(dense, weights=csr.k, minlength=nc + 1)
-        lo, hi = csr.indptr[v], csr.indptr[v + 1]
-        nbr_c = dense[csr.nbrs[lo:hi]]
-        w_own = csr.ws[lo:hi][nbr_c == cv].sum()
-        w_new = csr.ws[lo:hi][nbr_c == c_new].sum()
+        (b,) = csr.blocks
+        rows = b.src == v
+        nbr_c = dense[b.dst[rows]]
+        w_own = b.w[rows][nbr_c == cv].sum()
+        w_new = b.w[rows][nbr_c == c_new].sum()
         kv = csr.k[v]
         delta = (w_new - lam * kv * K[c_new]) - (w_own - lam * kv * (K[cv] - kv))
-        before = csr_objective(csr, dense, lam)
+        before = cc_objective(csr, dense, lam)
         moved = dense.copy()
         moved[v] = c_new
-        after = csr_objective(csr, moved, lam)
+        after = cc_objective(csr, moved, lam)
         # Ordered-pair objective counts each unordered pair twice.
         assert abs((after - before) - 2.0 * delta) < 1e-8

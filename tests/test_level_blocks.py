@@ -10,7 +10,7 @@ from pyspark.sql import functions as F
 from repro.core import par_louvain, state
 from repro.core.config import CCConfig
 from repro.core.par_louvain import _sync_block_moves, parallel_cc
-from repro.core.seq_louvain import build_csr, csr_objective, sequential_cc
+from repro.core.seq_louvain import sequential_cc
 from repro.core.state import make_block, partition_of
 from repro.graphs.gen import GenGraph, planted_partition
 from repro.graphs.ops import to_spark
@@ -352,8 +352,9 @@ class TestDegenerateInputs:
         assign, stats = parallel_cc(gd, cfg)
         assert len(stats.levels) == 1
         assert stats.levels[0].time_compress == 0.0
-        csr = build_csr(small_graph.edges, small_graph.n, np.ones(small_graph.n))
-        assert stats.objective == pytest.approx(csr_objective(csr, assign, 0.3), rel=1e-9)
+        assert stats.objective == pytest.approx(
+            numpy_reported_objective(small_graph, assign, 0.3), rel=1e-9
+        )
 
     def test_partition_count_differs_from_input(self, spark, small_graph):
         """Input edges with another partition count are routed like repartition(P, "src")."""

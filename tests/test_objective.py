@@ -1,16 +1,23 @@
-"""Objective correctness: Spark and CSR objectives vs the O(n²) definition,
-compression/flattening invariance, and the modularity equivalence of §2."""
+"""Objective correctness: Spark and one-block driver level objectives vs the O(n²)
+definition, compression/flattening invariance, and the modularity equivalence of §2."""
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.seq_louvain import build_csr, compress_csr, csr_objective
+from repro.core.seq_louvain import build_csr, compress_csr
 from repro.core.state import cc_objective, compress, densify, flatten, level0
 from repro.graphs.gen import planted_partition
 from repro.graphs.ops import to_spark
 from repro.oracle import assert_equivalent
 
-from tests.helpers import brute_cc, brute_modularity, random_assign, small_weighted_graph
+from tests.helpers import (
+    brute_cc,
+    brute_modularity,
+    numpy_reported_objective,
+    pandas_compress,
+    random_assign,
+    small_weighted_graph,
+)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -20,7 +27,7 @@ class TestCsrObjectiveVsBrute:
         g = small_weighted_graph(seed)
         csr = build_csr(g.edges, g.n, np.ones(g.n))
         assign = random_assign(g.n, 5, seed + 10)
-        got = csr_objective(csr, assign, lam)
+        got = cc_objective(csr, assign, lam)
         exp = brute_cc(g, assign, lam)
         assert got == pytest.approx(exp, rel=1e-9, abs=1e-9)
 
@@ -30,7 +37,7 @@ class TestSingletonObjective:
     def test_singletons_score_zero(self, lam):
         g = small_weighted_graph(3)
         csr = build_csr(g.edges, g.n, np.ones(g.n))
-        assert csr_objective(csr, np.arange(g.n), lam) == pytest.approx(0.0)
+        assert cc_objective(csr, np.arange(g.n), lam) == pytest.approx(0.0)
 
 
 class TestSparkObjective:
@@ -42,7 +49,7 @@ class TestSparkObjective:
         csr = build_csr(g.edges, g.n, np.ones(g.n))
         assign = random_assign(g.n, 12, 5)
         got = cc_objective(lvl, assign, lam)
-        exp = csr_objective(csr, assign, lam)
+        exp = cc_objective(csr, assign, lam)
         assert got == pytest.approx(exp, rel=1e-9)
         lvl.unpersist()
 
@@ -60,7 +67,7 @@ class TestModularityEquivalence:
         two_m = deg.sum()
         csr = build_csr(g.edges, g.n, deg)
         assign = random_assign(g.n, 4, seed + 2)
-        cc = csr_objective(csr, assign, gamma / two_m)
+        cc = cc_objective(csr, assign, gamma / two_m)
         q = brute_modularity(g, assign, gamma)
         assert cc / two_m == pytest.approx(q, rel=1e-9, abs=1e-12)
 
@@ -76,8 +83,8 @@ class TestCompressInvariance:
         dense, nc = densify(assign)
         child = compress_csr(csr, dense, nc)
         # Singleton clustering on the child == the clustering on the parent.
-        got = csr_objective(child, np.arange(nc), lam)
-        exp = csr_objective(csr, dense, lam)
+        got = cc_objective(child, np.arange(nc), lam)
+        exp = cc_objective(csr, dense, lam)
         assert got == pytest.approx(exp, rel=1e-9)
 
     @pytest.mark.parametrize("lam", [0.05, 0.5])
@@ -88,8 +95,8 @@ class TestCompressInvariance:
         child = compress_csr(csr, dense, nc)
         coarse = random_assign(nc, 3, 2)
         flat = coarse[dense]
-        assert csr_objective(child, coarse, lam) == pytest.approx(
-            csr_objective(csr, flat, lam), rel=1e-9
+        assert cc_objective(child, coarse, lam) == pytest.approx(
+            cc_objective(csr, flat, lam), rel=1e-9
         )
 
     def test_two_level_compress(self):
@@ -101,27 +108,48 @@ class TestCompressInvariance:
         d2, n2 = densify(random_assign(n1, 4, 4))
         c2 = compress_csr(c1, d2, n2)
         flat = d2[d1]
-        assert csr_objective(c2, np.arange(n2), lam) == pytest.approx(
-            csr_objective(csr, flat, lam), rel=1e-9
+        assert cc_objective(c2, np.arange(n2), lam) == pytest.approx(
+            cc_objective(csr, flat, lam), rel=1e-9
         )
 
     @pytest.mark.parametrize("lam", [0.1, 0.8])
     def test_spark_compress_matches_csr(self, spark, lam):
+        """Compressing a P=4 Spark level and SEQ's one-block driver level both
+        match the pandas-groupby reference: k, sq, selfw, rows and objective."""
         g = planted_partition(150, avg_deg=6, mixing=0.3, seed=6)
-        gd = to_spark(spark, g, partitions=4)
-        lvl = level0(gd, np.ones(g.n), partitions=4)
-        csr = build_csr(g.edges, g.n, np.ones(g.n))
         dense, nc = densify(random_assign(g.n, 9, 5))
-        child_spark = compress(lvl, dense, nc, partitions=4)
-        child_csr = compress_csr(csr, dense, nc)
-        np.testing.assert_allclose(child_spark.k, child_csr.k)
-        np.testing.assert_allclose(child_spark.sq, child_csr.sq)
-        np.testing.assert_allclose(child_spark.selfw, child_csr.selfw)
-        got = cc_objective(child_spark, np.arange(nc), lam)
-        exp = csr_objective(child_csr, np.arange(nc), lam)
-        assert got == pytest.approx(exp, rel=1e-9)
-        child_spark.unpersist()
-        lvl.unpersist()
+        u, v, w = (g.edges[c].to_numpy() for c in ("u", "v", "w"))
+        ones = np.ones(g.n)
+        rows, k, sq, selfw = pandas_compress(
+            np.concatenate([u, v]), np.concatenate([v, u]), np.concatenate([w, w]),
+            ones, ones, np.zeros(g.n), dense, nc,
+        )
+        exp = 2.0 * selfw.sum() - lam * ((k**2).sum() - sq.sum())
+        assert exp == pytest.approx(numpy_reported_objective(g, dense, lam), rel=1e-9)
+        lvl = level0(to_spark(spark, g, partitions=4), ones, partitions=4)
+        assert not lvl.driver
+        try:
+            children = {
+                "spark-p4": compress(lvl, dense, nc, partitions=4),
+                "driver-p1": compress_csr(build_csr(g.edges, g.n, ones), dense, nc),
+            }
+        finally:
+            lvl.unpersist()
+        for name, child in children.items():
+            np.testing.assert_allclose(child.k, k, err_msg=name)
+            np.testing.assert_allclose(child.sq, sq, err_msg=name)
+            np.testing.assert_allclose(child.selfw, selfw, err_msg=name)
+            assert child.driver  # a level below DRIVER_ROWS has its child built in the driver
+            got = pd.DataFrame(
+                {c: np.concatenate([getattr(b, f) for b in child.blocks])
+                 for c, f in (("s", "src"), ("d", "dst"), ("w", "w"))}
+            ).sort_values(["s", "d"], ignore_index=True)
+            np.testing.assert_array_equal(got["s"], rows["s"], err_msg=name)
+            np.testing.assert_array_equal(got["d"], rows["d"], err_msg=name)
+            np.testing.assert_allclose(got["w"], rows["w"], err_msg=name)
+            assert child.m_directed == len(rows)
+            assert cc_objective(child, np.arange(nc), lam) == pytest.approx(exp, rel=1e-9)
+            child.unpersist()
 
     def test_spark_compress_edges_oracle(self, spark):
         """The compression groupBy checked row-for-row against DuckDB."""

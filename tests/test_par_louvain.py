@@ -11,12 +11,12 @@ import pytest
 from repro.core import state
 from repro.core.config import CCConfig
 from repro.core.par_louvain import best_moves, parallel_cc
-from repro.core.seq_louvain import build_csr, csr_objective, sequential_cc
+from repro.core.seq_louvain import sequential_cc
 from repro.core.state import cc_objective, level0
 from repro.graphs.gen import GenGraph, karate, lite_graph, planted_partition
 from repro.graphs.ops import to_spark
 
-from tests.helpers import brute_cc, small_weighted_graph
+from tests.helpers import brute_cc, numpy_reported_objective, small_weighted_graph
 
 
 def _two_cliques() -> GenGraph:
@@ -71,10 +71,9 @@ class TestBestMoves:
         lvl = level0(gd, np.ones(g.n), partitions=1)
         lam = 0.3
         cfg = CCConfig(resolution=lam, num_iter=1, async_moves=True, seed=3)
-        csr = build_csr(g.edges, g.n, np.ones(g.n))
-        before = csr_objective(csr, np.arange(g.n), lam)
+        before = numpy_reported_objective(g, np.arange(g.n), lam)
         assign, _, _ = best_moves(lvl, np.arange(g.n), lam, cfg, seed_base=3)
-        after = csr_objective(csr, assign, lam)
+        after = numpy_reported_objective(g, assign, lam)
         # One sequential iteration strictly improves (or leaves) the objective.
         assert after >= before - 1e-9
         lvl.unpersist()
@@ -100,8 +99,9 @@ class TestParallelCC:
         assign, stats = parallel_cc(to_spark(spark, medium_graph, partitions=4), cfg)
         if async_moves:
             assert stats.objective > 0
-        csr = build_csr(medium_graph.edges, medium_graph.n, np.ones(medium_graph.n))
-        assert stats.objective == pytest.approx(csr_objective(csr, assign, 0.3), rel=1e-9)
+        assert stats.objective == pytest.approx(
+            numpy_reported_objective(medium_graph, assign, 0.3), rel=1e-9
+        )
         assert stats.n_clusters == len(np.unique(assign))
 
     def test_matches_sequential_quality(self, spark, medium_graph):

@@ -6,9 +6,10 @@ import pandas as pd
 import pytest
 
 from repro.baselines.pivot import kwikcluster, parallel_pivot
-from repro.core.seq_louvain import build_csr, csr_objective
 from repro.graphs.gen import GenGraph, lite_graph, planted_partition
 from repro.graphs.ops import to_spark
+
+from tests.helpers import numpy_reported_objective
 
 
 def _clique(n: int) -> GenGraph:
@@ -92,8 +93,7 @@ class TestParallelPivot:
         g = planted_partition(400, avg_deg=10, mixing=0.4, seed=6)
         gd = to_spark(spark, g, partitions=4)
         labels, _ = parallel_pivot(gd, variant="wild", seed=2)
-        csr = build_csr(g.edges, g.n, np.ones(g.n))
-        obj = csr_objective(csr, labels, 0.85)
+        obj = numpy_reported_objective(g, labels, 0.85)
         assert obj < 0  # large λ punishes the coarse pivot clusters
 
 

@@ -1,22 +1,18 @@
 """Tests for SEQUENTIAL-CC / SEQ-MOD (core.seq_louvain)."""
+import ast
 import hashlib
+import importlib
+from pathlib import Path
 
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.core.config import CCConfig
-from repro.core.seq_louvain import (
-    CSRLevel,
-    _sweeps,
-    build_csr,
-    csr_objective,
-    sequential_cc,
-)
-from repro.core.state import densify
+from repro.core.seq_louvain import _sweeps, build_csr, sequential_cc
 from repro.graphs.gen import GenGraph, karate, lite_graph, planted_partition
 
-from tests.helpers import brute_cc, small_weighted_graph
+from tests.helpers import brute_cc, numpy_reported_objective, small_weighted_graph
 
 
 def _two_cliques(bridge_w: float = 0.5) -> GenGraph:
@@ -55,10 +51,10 @@ class TestSweeps:
         cfg = CCConfig(resolution=lam, num_iter=1, refine=False, seed=4)
         rng = np.random.default_rng(4)
         assign = np.arange(g.n)
-        prev = csr_objective(csr, assign, lam)
+        prev = numpy_reported_objective(g, assign, lam)
         for _ in range(6):
             assign, moves, _ = _sweeps(csr, assign, lam, cfg, rng)
-            cur = csr_objective(csr, assign, lam)
+            cur = numpy_reported_objective(g, assign, lam)
             assert cur >= prev - 1e-9
             prev = cur
             if moves == 0:
@@ -108,8 +104,9 @@ class TestSequentialCC:
         cfg = CCConfig(resolution=0.5, num_iter=5, seed=2)
         assign, stats = sequential_cc(g, cfg)
         assert stats.n_clusters == len(np.unique(assign))
-        csr = build_csr(g.edges, g.n, np.ones(g.n))
-        assert stats.objective == pytest.approx(csr_objective(csr, assign, 0.5), rel=1e-9)
+        assert stats.objective == pytest.approx(
+            numpy_reported_objective(g, assign, 0.5), rel=1e-9
+        )
         assert stats.total_rounds >= 1
         assert len(stats.levels) >= 1
 
@@ -176,3 +173,55 @@ class TestPinnedOutputs:
         assign, stats = sequential_cc(graph(), cfg)
         assert _assign_hash(assign) == expected_hash
         assert stats.reported_objective == expected_objective
+
+
+class TestEngineContract:
+    """What the benchmark relies on: SEQ uses no Spark, and its traced names exist."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            CCConfig(resolution=0.3, num_iter=10, seed=8),
+            CCConfig(resolution=1.0, objective="modularity", num_iter=10, seed=8),
+        ],
+        ids=["cc", "modularity"],
+    )
+    def test_launches_no_spark_job(self, spark, cfg):
+        """Every SEQ level is a driver level: moves, compression, refinement and
+        the objective run without a Spark job."""
+        sc = spark.sparkContext
+        group = f"seq-no-jobs-{cfg.objective}"
+        g = planted_partition(400, avg_deg=8, mixing=0.3, seed=12)
+
+        def jobs() -> list[int]:
+            sc._jsc.sc().listenerBus().waitUntilEmpty()
+            return list(sc.statusTracker().getJobIdsForGroup(group))
+
+        sc.setJobGroup(group, "sequential_cc")
+        try:
+            _, stats = sequential_cc(g, cfg)
+            seq_jobs = jobs()
+            sc.parallelize([0], 1).count()  # the group does catch a job
+            all_jobs = jobs()
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        assert cfg.refine and len(stats.levels) >= 2
+        assert all(l.driver for l in stats.levels)
+        assert sum(l.refine_iters for l in stats.levels) >= 1
+        assert seq_jobs == []
+        assert len(all_jobs) == 1
+
+    def test_traced_names_resolve(self):
+        """Every engine function the benchmark's traced run wraps is still a
+        module attribute, so a rename cannot silently break ``--trace 1``."""
+        layers = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+        tree = ast.parse(layers.read_text())
+        (wrapped,) = [
+            ast.literal_eval(node.value)
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "WRAPPED" for t in node.targets)
+        ]
+        assert {mod for mod, *_ in wrapped} == {"par_louvain", "seq_louvain"}
+        for mod, attr, *_ in wrapped:
+            assert callable(getattr(importlib.import_module(f"repro.core.{mod}"), attr))

@@ -14,25 +14,26 @@ import zipfile
 import zipimport
 from pathlib import Path
 
+import pandas as pd
 import pytest
+from pyspark.sql.types import LongType, StructField, StructType
 
 import repro
 from repro.core.config import CCConfig
 from repro.core.par_louvain import parallel_cc
+from repro.core.state import map_edge_partitions
 from repro.graphs.gen import planted_partition
 from repro.graphs.ops import to_spark
 
 
-@pytest.fixture(scope="module")
-def worker_report(spark):
-    """What each task of a job finds, run after an engine call has used the workers."""
-    g = to_spark(spark, planted_partition(300, avg_deg=6, mixing=0.3, seed=24), partitions=4)
-    parallel_cc(g, CCConfig(partitions=4, num_iter=2, max_levels=2, seed=1))
+def _zip_read_counter():
+    """A function that counts the zip directory reads ``importlib.invalidate_caches()`` makes.
 
-    def probe(_):
-        import repro.core.state as state  # what every engine block function loads
+    It is made here and not defined at module level, so a task gets it
+    pickled by value and does not import this module (and the engine) to run it.
+    """
 
-        archives = [p for p in sys.path if os.path.isfile(p) and zipfile.is_zipfile(p)]
+    def count() -> int:
         read = zipimport._read_directory
         reads = []
 
@@ -45,6 +46,23 @@ def worker_report(spark):
             importlib.invalidate_caches()
         finally:
             zipimport._read_directory = read
+        return len(reads)
+
+    return count
+
+
+@pytest.fixture(scope="module")
+def worker_report(spark):
+    """What each task of a job finds, run after an engine call has used the workers."""
+    g = to_spark(spark, planted_partition(300, avg_deg=6, mixing=0.3, seed=24), partitions=4)
+    parallel_cc(g, CCConfig(partitions=4, num_iter=2, max_levels=2, seed=1))
+    count_reads = _zip_read_counter()
+
+    def probe(_):
+        import repro.core.state as state  # what every engine block function loads
+
+        archives = [p for p in sys.path if os.path.isfile(p) and zipfile.is_zipfile(p)]
+        reads = count_reads()
         # A pyspark submodule, in a subpackage, that the worker has not imported.
         name = "pyspark.sql.avro.functions"
         fresh = name not in sys.modules
@@ -55,7 +73,7 @@ def worker_report(spark):
                 k for k, f in sys.path_importer_cache.items() if type(f) is zipimport.zipimporter
             ],
             "hook": state._KeptZipImporter in sys.path_hooks,
-            "reads": len(reads),
+            "reads": reads,
             "fresh": fresh,
             "file": mod.__file__,
             "zip_loader": isinstance(mod.__spec__.loader, zipimport.zipimporter),
@@ -69,6 +87,24 @@ def worker_report(spark):
     return reports
 
 
+@pytest.fixture(scope="module")
+def sql_worker_reads(spark, worker_report):
+    """Zip reads inside the tasks of ``map_edge_partitions`` (``mapInPandas``) jobs.
+
+    The probe does not import the engine itself: only what the job ships may.
+    """
+    count_reads = _zip_read_counter()
+
+    def probe(pdf: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"reads": [count_reads()]})
+
+    schema = StructType([StructField("reads", LongType())])
+    df = spark.range(16).repartition(4)
+    return [
+        map_edge_partitions(df, probe, schema).toPandas()["reads"].tolist() for _ in range(2)
+    ]
+
+
 class TestWorkerHook:
     def test_no_plain_zip_importer_left(self, worker_report):
         for r in worker_report:
@@ -77,6 +113,11 @@ class TestWorkerHook:
 
     def test_invalidate_caches_reads_no_archive(self, worker_report):
         assert [r["reads"] for r in worker_report] == [0] * len(worker_report)
+
+    def test_map_edge_partitions_tasks_read_no_archive(self, sql_worker_reads):
+        """``mapInPandas`` tasks unpickle the engine's runner, which installs the hook."""
+        for job in sql_worker_reads:
+            assert job == [0] * len(job) and len(job) >= 1
 
     def test_new_pyspark_submodule_imports_from_zip(self, worker_report):
         for r in worker_report:
