@@ -2,18 +2,20 @@
 
 A *level* is one graph in the Louvain coarsening hierarchy. Its edges are
 split into P = ``cfg.partitions`` *logical* partitions, the engine's
-"threads": a vertex's rows all live in partition ``partition_of(v, P)``,
-where Spark's ``repartition(P, "src")`` puts them. Each logical partition
-is one CSR :class:`Block` (its rows sorted by ``src``, with the row range
-of each source vertex). P logical blocks, run in min(P, cores) tasks: the
-blocks stay resident as one persisted RDD with S = ``task_count(P)`` Spark
-partitions, block ``p`` in Spark partition ``p * S // P`` (``level0`` keeps
-Spark's own grouping when it coalesces its input), so every per-block job
-is one wave of S tasks. A coarse level with fewer than ``DRIVER_ROWS``
-directed rows is instead held in the driver as a list of the same blocks,
-and every step on it runs the same per-block functions there, without a
-Spark job (:meth:`LevelGraph.map_blocks`). SEQ-CC's levels are such driver
-levels from the start, with one block (P = 1; :func:`base_level`).
+"threads": a vertex's rows all live in partition ``ops.partition_of(v, P)``,
+where Spark's ``repartition(P, "src")`` puts them and where ``ops.to_spark``
+leaves them (one Arrow batch per partition, without a shuffle). Each
+logical partition is one CSR :class:`Block` (its rows sorted by ``src``,
+with the row range of each source vertex). P logical blocks, run in
+min(P, cores) tasks: the blocks stay resident as one persisted RDD with
+S = ``task_count(P)`` Spark partitions, block ``p`` in Spark partition
+``p * S // P`` (``level0`` keeps Spark's own grouping when it coalesces its
+input), so every per-block job is one wave of S tasks. A coarse level with
+fewer than ``DRIVER_ROWS`` directed rows is instead held in the driver as a
+list of the same blocks, and every step on it runs the same per-block
+functions there, without a Spark job (:meth:`LevelGraph.map_blocks`).
+SEQ-CC's levels are such driver levels from the start, with one block
+(P = 1; :func:`base_level`).
 Per-vertex driver state (O(n) numpy arrays) rides alongside:
 
 - ``k``     — LambdaCC vertex weight of the (super)vertex,
@@ -47,7 +49,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql.types import StructType
 
-from ..graphs.ops import EDGE_SCHEMA, GraphData
+from ..graphs.ops import EDGE_SCHEMA, GraphData, edges_frame, partition_rows
 
 
 class _KeptZipImporter(zipimport.zipimporter):
@@ -143,47 +145,13 @@ def undirected_block(edges: pd.DataFrame) -> Block:
     return make_block(np.concatenate([u, v]), np.concatenate([v, u]), np.concatenate([w, w]))
 
 
-def _rotl(x: np.ndarray, r: int) -> np.ndarray:
-    return (x << np.uint32(r)) | (x >> np.uint32(32 - r))
-
-
-def _murmur_mix(h: np.ndarray, k: np.ndarray) -> np.ndarray:
-    k = _rotl(k * np.uint32(0xCC9E2D51), 15) * np.uint32(0x1B873593)
-    return _rotl(h ^ k, 13) * np.uint32(5) + np.uint32(0xE6546B64)
-
-
-def partition_of(v: np.ndarray, partitions: int) -> np.ndarray:
-    """Logical partition that Spark's ``repartition(partitions, "src")`` puts long id ``v`` in.
-
-    This is the block (the engine's "thread") that owns ``v``'s rows; the
-    P logical blocks run in ``task_count(P)`` = min(P, cores) Spark tasks.
-    Spark places a row at ``pmod(murmur3_x86_32(v, seed=42), partitions)``;
-    a long hashes as its low, then its high 32-bit word.
-    """
-    u = np.asarray(v, dtype="int64").view("uint64")
-    h = np.full(u.shape, 42, dtype="uint32")
-    h = _murmur_mix(h, (u & np.uint64(0xFFFFFFFF)).astype("uint32"))
-    h = _murmur_mix(h, (u >> np.uint64(32)).astype("uint32"))
-    h ^= np.uint32(8)
-    h ^= h >> np.uint32(16)
-    h *= np.uint32(0x85EBCA6B)
-    h ^= h >> np.uint32(13)
-    h *= np.uint32(0xC2B2AE35)
-    h ^= h >> np.uint32(16)
-    return h.view("int32").astype("int64") % partitions
-
-
 def route(
     src: np.ndarray, dst: np.ndarray, w: np.ndarray, partitions: int
 ) -> Iterator[tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
     """Split rows into ``(partition, (src, dst, w))`` pieces by the partition of ``src``."""
-    p = partition_of(src, partitions)
-    order = np.argsort(p, kind="stable")
-    bounds = np.searchsorted(p[order], np.arange(partitions + 1))
-    for i in range(partitions):
-        idx = order[bounds[i] : bounds[i + 1]]
+    for p, idx in enumerate(partition_rows(src, partitions)):
         if len(idx):
-            yield i, (src[idx], dst[idx], w[idx])
+            yield p, (src[idx], dst[idx], w[idx])
 
 
 def aggregate(
@@ -240,9 +208,20 @@ def regroup(
     )
 
 
+def _aggregated(src: np.ndarray, dst: np.ndarray) -> bool:
+    """Whether rows are strictly increasing in ``(src, dst)``, as :func:`aggregate` leaves them."""
+    return bool(np.all((src[1:] > src[:-1]) | ((src[1:] == src[:-1]) & (dst[1:] > dst[:-1]))))
+
+
 def coarse_block(src: np.ndarray, dst: np.ndarray, w: np.ndarray, *, part: int) -> Block:
-    """Re-aggregate the pieces of one partition and split off the self loops."""
-    src, dst, w = aggregate(src, dst, w)
+    """Re-aggregate the pieces of one partition and split off the self loops.
+
+    Rows that are already aggregated (a partition that got a single piece,
+    as every partition of a one-block level does) are taken as they are:
+    aggregating them again would return them unchanged.
+    """
+    if not _aggregated(src, dst):
+        src, dst, w = aggregate(src, dst, w)
     loop = src == dst
     keep = ~loop
     return make_block(src[keep], dst[keep], w[keep], src[loop], w[loop], part=part)
@@ -298,12 +277,15 @@ class LevelGraph:
 
     @property
     def edges(self) -> DataFrame:
-        """The edge rows as an ``(src, dst, w)`` DataFrame, built on demand (not cached)."""
+        """The edge rows as an ``(src, dst, w)`` DataFrame, built on demand (not cached).
+
+        On a driver level each block becomes one Spark partition
+        (:func:`~repro.graphs.ops.edges_frame`).
+        """
+        spark = SparkSession.builder.getOrCreate()
         if self.driver:
-            rows = [r for b in self.blocks for r in _rows(b)]
-        else:
-            rows = self.blocks.flatMap(_rows)
-        return SparkSession.builder.getOrCreate().createDataFrame(rows, EDGE_SCHEMA)
+            return edges_frame(spark, [(b.src, b.dst, b.w) for b in self.blocks])
+        return spark.createDataFrame(self.blocks.flatMap(_rows), EDGE_SCHEMA)
 
     def unpersist(self) -> None:
         if not self.driver:
@@ -414,11 +396,12 @@ def level0(
 
     The caller's edges are only read; their storage level is left alone.
     Edges that already have ``partitions`` partitions are taken to be
-    hash-partitioned by ``src``, as ``to_spark`` leaves them: input partition
-    ``p`` becomes block ``p``, and the blocks are coalesced into
-    :func:`task_count` Spark partitions without a shuffle. Otherwise the rows
-    are routed with :func:`partition_of`. ``k=None`` takes the weighted
-    degrees as vertex weights (modularity's ``k_v``).
+    hash-partitioned by ``src``, as ``to_spark`` leaves them (partition ``p``
+    one Arrow batch of the rows that ``repartition(P, "src")`` would put
+    there): input partition ``p`` becomes block ``p``, and the blocks are
+    coalesced into :func:`task_count` Spark partitions without a shuffle.
+    Otherwise the rows are routed with ``ops.partition_of``. ``k=None`` takes
+    the weighted degrees as vertex weights (modularity's ``k_v``).
     """
     edges = g.edges.select([F.col(f.name).cast(f.dataType) for f in EDGE_SCHEMA.fields])
     # The JVM-internal Dataset.toArrowBatchRdd hands each partition to Python

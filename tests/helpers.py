@@ -48,6 +48,18 @@ def brute_modularity(g: GenGraph, assign: np.ndarray, gamma: float) -> float:
     return q / two_m
 
 
+def graph_from_rows(n: int, rows: list[tuple[int, int, float]], name: str = "tiny") -> GenGraph:
+    """A graph on ``n`` vertices from ``(u, v, w)`` edge rows (u < v)."""
+    edges = pd.DataFrame(
+        {
+            "u": np.asarray([r[0] for r in rows], dtype="int64"),
+            "v": np.asarray([r[1] for r in rows], dtype="int64"),
+            "w": np.asarray([r[2] for r in rows], dtype="float64"),
+        }
+    )
+    return GenGraph(name=name, n=n, edges=edges)
+
+
 def random_assign(n: int, n_clusters: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).integers(0, n_clusters, size=n).astype("int64")
 
@@ -188,3 +200,17 @@ def numpy_async_block_moves(
         rng = np.random.default_rng((seed * 1_000_003 + int(b.verts[0])) % (2**63))
         rng.shuffle(active)
     return numpy_local_moves(active, b, a, K, k, lam, U, tol, n)
+
+
+def repartition_reference(spark, g: GenGraph, partitions: int):
+    """Both directions of ``g``'s edges through ``createDataFrame`` + ``repartition(P, "src")``.
+
+    The reference for ``ops.to_spark``: Catalyst's own hash placement of the rows.
+    """
+    from repro.graphs.ops import EDGE_SCHEMA
+
+    u, v, w = (g.edges[c].to_numpy() for c in ("u", "v", "w"))
+    sym = pd.DataFrame(
+        {"src": np.concatenate([u, v]), "dst": np.concatenate([v, u]), "w": np.concatenate([w, w])}
+    )
+    return spark.createDataFrame(sym, schema=EDGE_SCHEMA).repartition(partitions, "src")

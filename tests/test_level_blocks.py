@@ -11,22 +11,11 @@ from repro.core import par_louvain, state
 from repro.core.config import CCConfig
 from repro.core.par_louvain import _sync_block_moves, parallel_cc
 from repro.core.seq_louvain import sequential_cc
-from repro.core.state import make_block, partition_of
+from repro.core.state import make_block
 from repro.graphs.gen import GenGraph, planted_partition
-from repro.graphs.ops import to_spark
+from repro.graphs.ops import partition_of, to_spark
 
-from tests.helpers import brute_cc, numpy_reported_objective
-
-
-def _graph(n: int, rows: list[tuple[int, int, float]]) -> GenGraph:
-    edges = pd.DataFrame(
-        {
-            "u": np.asarray([r[0] for r in rows], dtype="int64"),
-            "v": np.asarray([r[1] for r in rows], dtype="int64"),
-            "w": np.asarray([r[2] for r in rows], dtype="float64"),
-        }
-    )
-    return GenGraph(name="tiny", n=n, edges=edges)
+from tests.helpers import brute_cc, graph_from_rows as _graph, numpy_reported_objective
 
 
 def _persistent_rdds(spark) -> int:
@@ -251,6 +240,27 @@ class TestMaterialize:
         assert not isinstance(blocks, list) and m == 107
         assert _persistent_rdds(spark) == before + 1
         blocks.unpersist()
+
+
+class TestCoarseBlock:
+    @pytest.mark.parametrize("pieces", [1, 3])
+    def test_matches_aggregating_all_rows(self, pieces):
+        """A partition's single aggregated piece is taken as it is, several are
+        aggregated again; both give the block of aggregating every row once."""
+        rng = np.random.default_rng(pieces)
+        parts = [
+            state.aggregate(rng.integers(0, 20, 300), rng.integers(0, 20, 300), rng.random(300))
+            for _ in range(pieces)
+        ]
+        src, dst, w = (np.concatenate(c) for c in zip(*parts))
+        assert state._aggregated(src, dst) == (pieces == 1)
+        s, d, x = state.aggregate(src, dst, w)
+        loop = s == d
+        exp = make_block(s[~loop], d[~loop], x[~loop], s[loop], x[loop], part=2)
+        got = state.coarse_block(src, dst, w, part=2)
+        assert got.part == exp.part
+        for field in state.Block._fields[:-1]:
+            np.testing.assert_array_equal(getattr(got, field), getattr(exp, field))
 
 
 class TestStorageHygiene:

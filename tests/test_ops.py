@@ -1,12 +1,25 @@
 """Tests for the Spark graph substrate (graphs.ops) with the DuckDB oracle."""
+from contextlib import nullcontext
+
 import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
 from repro.graphs import gen
-from repro.graphs.ops import degree_array, degrees, symmetrize, to_spark, validate
+from repro.graphs.ops import (
+    degree_array,
+    degrees,
+    partition_of,
+    symmetrize,
+    to_spark,
+    validate,
+)
 from repro.oracle import assert_equivalent
+
+from tests.helpers import graph_from_rows, repartition_reference
+
+_THRESHOLD = "spark.sql.execution.arrow.localRelationThreshold"
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +56,79 @@ class TestToSpark:
         ).withColumn("pid", F.spark_partition_id()).toPandas()
         per_src = pdf.groupby("src")["pid"].nunique()
         assert (per_src == 1).all()
+
+
+def _with_partition(df) -> pd.DataFrame:
+    """Rows with their Spark partition ``p``, sorted by ``(p, src, dst, w)``."""
+    pdf = df.withColumn("p", F.spark_partition_id()).toPandas()
+    return pdf.sort_values(["p", "src", "dst", "w"], ignore_index=True)
+
+
+class TestToSparkLayout:
+    """``to_spark`` hands Spark one Arrow batch per partition: the layout
+    ``repartition(P, "src")`` would give, without a shuffle or a local relation."""
+
+    @pytest.mark.parametrize("partitions", [1, 3, 4, 8])
+    def test_partition_rows_match_repartition(self, spark, small_graph, partitions):
+        got = _with_partition(to_spark(spark, small_graph, partitions=partitions).edges)
+        np.testing.assert_array_equal(
+            partition_of(got["src"].to_numpy(), partitions), got["p"].to_numpy()
+        )
+        exp = _with_partition(repartition_reference(spark, small_graph, partitions))
+        pd.testing.assert_frame_equal(got, exp)
+
+    @pytest.mark.parametrize("extra", [-3, 0, 5])
+    def test_partition_count_is_p(self, spark, small_graph, extra):
+        partitions = max(1, spark.sparkContext.defaultParallelism + extra)
+        gd = to_spark(spark, small_graph, partitions=partitions)
+        assert gd.edges.rdd.getNumPartitions() == partitions
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            graph_from_rows(5, []),
+            graph_from_rows(1, []),
+            graph_from_rows(9, [(0, 1, 1.0), (1, 2, 2.0), (4, 7, 0.5)]),
+        ],
+        ids=["edgeless", "n=1", "isolated-vertices"],
+    )
+    def test_degenerate_graphs(self, spark, graph):
+        gd = to_spark(spark, graph, partitions=4)
+        assert gd.edges.rdd.getNumPartitions() == 4
+        assert gd.m_directed == 2 * graph.m
+        sizes = gd.edges.rdd.glom().map(len).collect()
+        assert len(sizes) == 4 and sum(sizes) == 2 * graph.m
+
+    def test_plan_reads_the_batches_only(self, spark, small_graph):
+        plan = to_spark(spark, small_graph, partitions=4).edges._jdf.queryExecution()
+        text = plan.executedPlan().toString()
+        for node in ("LocalTableScan", "Exchange", "Python", "Pandas"):
+            assert node not in text, text
+
+    @pytest.mark.parametrize("fail", [False, True], ids=["ok", "serialization-raises"])
+    @pytest.mark.parametrize("old", [None, "10MB"], ids=["unset", "set"])
+    def test_threshold_restored(self, spark, small_graph, monkeypatch, old, fail):
+        real = spark.sparkContext._serialize_to_jvm
+        seen = []
+
+        def serialize(*args, **kwargs):
+            seen.append(spark.conf.get(_THRESHOLD))
+            if fail:
+                raise RuntimeError("injected serialization failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(spark.sparkContext, "_serialize_to_jvm", serialize)
+        if old is None:
+            spark.conf.unset(_THRESHOLD)
+        else:
+            spark.conf.set(_THRESHOLD, old)
+        try:
+            with pytest.raises(RuntimeError, match="injected") if fail else nullcontext():
+                to_spark(spark, small_graph, partitions=2)
+            assert seen == ["0"]
+            assert spark.conf.get(_THRESHOLD, None) == old
+        finally:
+            spark.conf.unset(_THRESHOLD)
 
 
 class TestDegrees:

@@ -14,9 +14,14 @@ from repro.core.par_louvain import best_moves, parallel_cc
 from repro.core.seq_louvain import sequential_cc
 from repro.core.state import cc_objective, level0
 from repro.graphs.gen import GenGraph, karate, lite_graph, planted_partition
-from repro.graphs.ops import to_spark
+from repro.graphs.ops import GraphData, to_spark
 
-from tests.helpers import brute_cc, numpy_reported_objective, small_weighted_graph
+from tests.helpers import (
+    brute_cc,
+    numpy_reported_objective,
+    repartition_reference,
+    small_weighted_graph,
+)
 
 
 def _two_cliques() -> GenGraph:
@@ -280,6 +285,26 @@ class TestPinnedOutputs:
     @pytest.mark.parametrize("case", _PACKED, ids=_PACKED_IDS)
     def test_packed_blocks_spark_levels(self, spark, medium_graph, monkeypatch, case):
         self._check_packed(spark, medium_graph, monkeypatch, case, spark_levels=True)
+
+
+class TestIngestEquivalence:
+    """``to_spark``'s Arrow-batch input and a ``repartition(P, "src")`` input
+    give the engine the same blocks, so the same outputs."""
+
+    @pytest.mark.parametrize("async_moves", [False, True], ids=["sync", "async"])
+    @pytest.mark.parametrize("objective", ["cc", "modularity"])
+    def test_same_outputs(self, spark, medium_graph, objective, async_moves):
+        cfg = CCConfig(
+            resolution=0.3 if objective == "cc" else 1.0, objective=objective,
+            async_moves=async_moves, num_iter=5, seed=5, partitions=4,
+        )
+        a_new, s_new = parallel_cc(to_spark(spark, medium_graph, partitions=4), cfg)
+        a_ref, s_ref = parallel_cc(
+            GraphData(repartition_reference(spark, medium_graph, 4), medium_graph.n), cfg
+        )
+        assert _assign_hash(a_new) == _assign_hash(a_ref)
+        assert s_new.objective == s_ref.objective
+        assert s_new.reported_objective == s_ref.reported_objective
 
 
 class TestNetworkxModularity:
