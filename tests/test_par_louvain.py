@@ -219,8 +219,16 @@ _PINNED = [
      "spark", "0b1cf78f62c5c844", 0.2769110931138634),
     (CCConfig(resolution=0.3, num_iter=5, seed=5, partitions=4),
      "driver_python", "f5ef2a594e95ed55", 665.0),
+    (CCConfig(resolution=1.0, objective="modularity", async_moves=False,
+              frontier="all", num_iter=5, seed=5, partitions=4, refine=False),
+     "spark", "5b2960aa5bbe3761", 0.13499545889014128),
+    (CCConfig(resolution=0.3, num_iter=5, seed=5, partitions=4, refine=False),
+     "spark", "e97d4f377c7414f8", 501.80000000000007),
 ]
-_PINNED_IDS = ["cc-async-vertices-refine", "cc-async-clusters", "mod-sync-all", "cc-driver-python"]
+_PINNED_IDS = [
+    "cc-async-vertices-refine", "cc-async-clusters", "mod-sync-all", "cc-driver-python",
+    "mod-sync-all-norefine", "cc-async-norefine",
+]
 
 # (input partitions, cfg, compress_mode, expected hash, expected reported objective)
 _PACKED = [
