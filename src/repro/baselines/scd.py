@@ -21,14 +21,14 @@ import numpy as np
 
 from ..core.state import undirected_block
 from ..graphs.gen import GenGraph
-from ..graphs.ops import GraphData, to_spark
+from ..graphs.ops import GraphData, by_src, to_spark
 from ..graphs.triangles import vertex_triangle_counts
 
 
 def scd(spark, g: GenGraph, *, improvement_passes: int = 2, partitions: int = 8) -> np.ndarray:
     """Simplified SCD; returns a cluster label per vertex."""
     gd: GraphData = to_spark(spark, g, partitions=partitions)
-    tri_pdf = vertex_triangle_counts(gd).toPandas()
+    tri_pdf = vertex_triangle_counts(by_src(gd)).toPandas()
     tri = np.zeros(g.n)
     if len(tri_pdf):
         tri[tri_pdf["v"].to_numpy()] = tri_pdf["tri"].to_numpy()

@@ -17,7 +17,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from ..graphs.components import connected_components
-from ..graphs.ops import GraphData
+from ..graphs.ops import GraphData, by_src
 from ..graphs.triangles import edge_triangle_counts
 
 
@@ -26,6 +26,7 @@ def tectonic_weights(g: GraphData) -> DataFrame:
 
     score(u,v) = 2·t(u,v) / (d_u + d_v); edges in no triangle score 0.
     """
+    g = by_src(g)
     deg = g.edges.groupBy("src").agg(F.count("*").alias("d"))
     und = g.edges.where(F.col("src") < F.col("dst")).select(
         F.col("src").alias("u"), F.col("dst").alias("v")

@@ -15,7 +15,10 @@ job's fixed cost); level 0 always runs in Spark:
   move-delta formula against the same broadcast snapshot; all moves are
   applied at once by the driver. Delta ties break toward the smallest
   cluster id, which is what makes Figure 1's lockstep pathology
-  reproducible rather than an endless oscillation.
+  reproducible rather than an endless oscillation. The block kernel is
+  vectorized: one stable sort groups each active vertex's rows by cluster
+  (the rows are already in CSR ``src`` order), and a segment max per
+  vertex, taken at its first reaching row, picks the move.
 - **asynchronous** (§3.2.1): inside each edge partition the vertices are
   processed sequentially in random order against *partition-local* copies
   of the assignment/``K_c`` arrays that are updated immediately (the
@@ -32,7 +35,8 @@ clusters movers left and joined) — are *fused into the move pass*: since
 a vertex's edges are co-located, "has a neighbor in the moved set" is
 computable per partition from the broadcast mask, so no separate
 frontier job runs (the EDGEMAP role from GBBS). Multi-level refinement
-(§3.2.3, Alg. 1 line 9) re-runs BEST-MOVES per level while unwinding.
+(§3.2.3, Alg. 1 line 9) re-runs BEST-MOVES per level while unwinding;
+without it the final objective is scored on the deepest level.
 
 Every vertex may also *detach* into a fresh singleton cluster (label
 ``U + v`` in the pre-densify label space), which matters for large λ.
@@ -55,7 +59,6 @@ from .state import (
     LevelStats,
     RunStats,
     Timer,
-    aggregate,
     cc_objective,
     cluster_weights,
     coarse_block,
@@ -121,16 +124,29 @@ def _sync_block_moves(
     aux: np.ndarray | None,
     extra: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Best move per active vertex against the broadcast snapshot."""
+    """Best move per active vertex against the broadcast snapshot.
+
+    The block's rows are in CSR ``src`` order, so one stable sort of the
+    active rows by the packed key ``(vertex index, cluster)`` groups each
+    vertex's rows by cluster, ascending, each group's rows in row order.
+    The key is exact while (active vertices) · (largest label + 1) < 2^63,
+    e.g. for any level below 2^31 vertices with labels below 2^32.
+    """
     act = _active_verts(b, all_active, aux, extra)
     if not act.any():
         return _NO_MOVES
-    sel = np.repeat(act, np.diff(b.indptr))
-    # Weight from each active vertex to each neighboring cluster; rows come
-    # out grouped by vertex, clusters ascending within a vertex.
-    v, c, wvc = aggregate(b.src[sel], a[b.dst[sel]], b.w[sel])
-    uv, first = np.unique(v, return_index=True)
-    gi = np.repeat(np.arange(len(uv)), np.diff(np.append(first, len(v))))
+    uv = b.verts[act]
+    counts = np.diff(b.indptr)
+    sel = np.repeat(act, counts)
+    gi = np.repeat(np.arange(len(uv)), counts[act])
+    c = a[b.dst[sel]]
+    order = np.argsort(gi * (int(c.max()) + 1) + c, kind="stable")
+    gi, c, w = gi[order], c[order], b.w[sel][order]
+    # Weight from each active vertex to each neighboring cluster.
+    new = np.ones(len(c), dtype=bool)
+    new[1:] = (gi[1:] != gi[:-1]) | (c[1:] != c[:-1])
+    starts = np.flatnonzero(new)
+    gi, c, wvc = gi[starts], c[starts], np.add.reduceat(w, starts)
     cuv = a[uv]
     kuv = k[uv]
     own_rows = c == cuv[gi]
@@ -138,17 +154,19 @@ def _sync_block_moves(
     own_uv[gi[own_rows]] = wvc[own_rows]
     base_uv = own_uv - lam * kuv * (K[cuv] - kuv)
     delta = (wvc - lam * kuv[gi] * K[c]) - base_uv[gi]
-    cand = ~own_rows
-    g_c, c_c, d_c = gi[cand], c[cand], delta[cand]
-    # Largest delta per vertex; ties break toward the smallest cluster id
-    # (Figure 1's synchronous pathology relies on ties resolving identically).
-    order = np.lexsort((c_c, -d_c, g_c))
-    g_s = g_c[order]
-    top = order[np.append(True, g_s[1:] != g_s[:-1])] if len(order) else order
+    delta[own_rows] = -np.inf
+    # Largest delta per vertex; ties break toward the smallest cluster id, the
+    # first row that reaches the maximum (Figure 1's synchronous pathology
+    # relies on ties resolving identically).
+    top = np.maximum.reduceat(delta, np.flatnonzero(np.append(True, gi[1:] != gi[:-1])))
+    hit = np.flatnonzero((delta == top[gi]) & ~own_rows)
+    first = np.ones(len(hit), dtype=bool)
+    first[1:] = gi[hit[1:]] != gi[hit[:-1]]
+    hit = hit[first]
     best_d = np.full(len(uv), -np.inf)
     best_c = np.full(len(uv), -1, dtype="int64")
-    best_d[g_c[top]] = d_c[top]
-    best_c[g_c[top]] = c_c[top]
+    best_d[gi[hit]] = delta[hit]
+    best_c[gi[hit]] = c[hit]
     # Detach-to-singleton wins only when strictly better: its label U + v
     # is larger than every real cluster id.
     iso = -base_uv > best_d
@@ -337,7 +355,7 @@ def _compress_driver_python(
     d_out = np.fromiter((d for _, d in agg), "int64", len(agg))
     w_out = np.fromiter(agg.values(), "float64", len(agg))
     pieces = list(route(s_out, d_out, w_out, partitions))
-    if not level.children_in_driver:
+    if not level.children_in_driver(n_clusters):
         pieces = level.blocks.context.parallelize(pieces)
     child = regroup(pieces, partitions, coarse_block)
     return coarsened(level, assign_dense, n_clusters, child, partitions)
@@ -362,6 +380,12 @@ def _recurse(
     lstats.time_moves, lstats.iters, lstats.moves = t.s, iters, nmoves
     dense, nc = densify(assign)
     if nmoves == 0 or nc >= level.n or depth + 1 >= cfg.max_levels:
+        if not cfg.refine:
+            # Without refine no level above moves again, so the clustering
+            # scored here is the final one, and the objective is
+            # level-invariant: scored on this level (before it is released),
+            # it costs no level-0 job.
+            stats.objective = cc_objective(level, dense, lam)
         return dense
     with Timer() as t:
         if compress_mode == "driver_python":
@@ -407,7 +431,8 @@ def parallel_cc(
         )
         assign = _recurse(lvl0, 0, lam, cfg, stats, compress_mode)
         stats.total_time = time.perf_counter() - t0
-        stats.objective = cc_objective(lvl0, assign, lam)
+        if cfg.refine:
+            stats.objective = cc_objective(lvl0, assign, lam)
     finally:
         lvl0.unpersist()
     stats.reported_objective = (

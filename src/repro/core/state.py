@@ -14,6 +14,9 @@ input), so every per-block job is one wave of S tasks. A coarse level with
 fewer than ``DRIVER_ROWS`` directed rows is instead held in the driver as a
 list of the same blocks, and every step on it runs the same per-block
 functions there, without a Spark job (:meth:`LevelGraph.map_blocks`).
+:func:`compress` builds such a child in the driver from pieces collected
+without a shuffle whenever its row bound min(m, n_c·(n_c − 1)) is below
+``DRIVER_ROWS`` (:meth:`LevelGraph.children_in_driver`).
 SEQ-CC's levels are such driver levels from the start, with one block
 (P = 1; :func:`base_level`).
 Per-vertex driver state (O(n) numpy arrays) rides alongside:
@@ -250,15 +253,17 @@ class LevelGraph:
         """Whether the level's blocks are held in the driver (no Spark job runs on it)."""
         return isinstance(self.blocks, list)
 
-    @property
-    def children_in_driver(self) -> bool:
-        """Whether any level compressed from this one is built in the driver.
+    def children_in_driver(self, n_clusters: int) -> bool:
+        """Whether compressing this level into ``n_clusters`` clusters builds a driver level.
 
-        True on a driver level, and on any level with fewer than
-        ``DRIVER_ROWS`` rows: compression never adds rows, so its children
-        are driver levels for sure.
+        True on a driver level, and whenever the child is sure to have fewer
+        than ``DRIVER_ROWS`` rows. It has at most min(m_directed,
+        n_c·(n_c − 1)) of them: compression never adds rows, and the child
+        keeps one row per ordered pair of distinct clusters (its self loops
+        are split off).
         """
-        return self.driver or self.m_directed < DRIVER_ROWS
+        bound = min(self.m_directed, n_clusters * (n_clusters - 1))
+        return self.driver or bound < DRIVER_ROWS
 
     def map_blocks(self, fn: Callable[[Block, Any], Any], shared: Any) -> list:
         """``fn(block, shared)`` for every block.
@@ -492,23 +497,24 @@ def compress(
     """PARALLEL-COMPRESS: coarsen the level by a dense clustering, in one Spark job.
 
     Each block is relabeled by the broadcast clustering and pre-aggregated
-    locally; its rows are shuffled by target partition (``partitionBy`` on
-    whole arrays) and re-aggregated into the child's blocks, whose self
+    locally, into at most min(rows, n_c²) rows. When the child is sure to be
+    a driver level (:meth:`LevelGraph.children_in_driver`: fewer than
+    ``DRIVER_ROWS`` rows in the parent, or n_c·(n_c − 1) below it), those
+    pieces are collected (one job without a shuffle on a Spark level, none
+    on a driver level, at most min(m, P·n_c²) rows) and the child's blocks
+    are built in the driver, from the pieces in logical-partition order.
+
+    Otherwise the pieces are shuffled by target partition (``partitionBy``
+    on whole arrays) and re-aggregated into the child's blocks, whose self
     loops go to ``selfw`` — the dataflow analog of the paper's
     work-efficient parallel semisort compression. The same job brings a
     child with fewer than ``DRIVER_ROWS`` rows to the driver.
-
-    A level with fewer than ``DRIVER_ROWS`` rows has such a child for sure,
-    since compression never adds rows: its pre-aggregated pieces are
-    collected instead (one job without a shuffle on a Spark level, none on
-    a driver level) and the child's blocks are built in the driver, from
-    the pieces in logical-partition order.
     """
 
     def pieces(b: Block, a: np.ndarray) -> tuple[int, list[tuple[int, tuple[np.ndarray, ...]]]]:
         return b.part, list(route(*aggregate(a[b.src], a[b.dst], b.w), partitions))
 
-    if level.children_in_driver:
+    if level.children_in_driver(n_clusters):
         parts = sorted(level.map_blocks(pieces, assign_dense), key=lambda x: x[0])
         blocks = regroup([pc for _, ps in parts for pc in ps], partitions, coarse_block)
         return coarsened(level, assign_dense, n_clusters, blocks, partitions)

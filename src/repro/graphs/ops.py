@@ -166,6 +166,21 @@ def to_spark(spark: SparkSession, g: GenGraph, *, partitions: int = 8) -> GraphD
     return GraphData(edges=edges_frame(spark, parts), n=g.n, name=g.name)
 
 
+def by_src(g: GraphData) -> GraphData:
+    """``g`` with its edges repartitioned by ``src`` into as many partitions as they have.
+
+    For the DataFrame baselines, which group and join on ``src``: on the
+    repartitioned edges Catalyst knows the ``hashpartitioning(src)`` that
+    :func:`to_spark` leaves unstated, so those steps keep the input's
+    partition count instead of each shuffling into
+    ``spark.sql.shuffle.partitions``. Apply it once, at the baseline's
+    entry: reading the partition count of edges whose plan has its own
+    exchanges runs them.
+    """
+    edges = g.edges.repartition(g.edges.rdd.getNumPartitions(), "src")
+    return GraphData(edges=edges, n=g.n, name=g.name)
+
+
 def symmetrize(edges: DataFrame) -> DataFrame:
     """Both directions of an undirected (u < v) edge DataFrame."""
     fwd = edges.select(

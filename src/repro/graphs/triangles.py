@@ -1,6 +1,8 @@
 """Per-edge and per-vertex triangle counts with degree-ordered DataFrame joins.
 
-Substrate for the Tectonic and SCD baselines. The standard ordered
+Substrate for the Tectonic and SCD baselines, which pass their edges
+through ``ops.by_src`` first so that the ``src`` groupings and joins here
+keep the input's partitioning. The standard ordered
 enumeration is used: direct each undirected edge from the lower-rank to
 the higher-rank endpoint (rank = (degree, id)), join wedges
 (a->b, a->c with rank(b) < rank(c)) against directed edges (b->c), and

@@ -214,3 +214,47 @@ def repartition_reference(spark, g: GenGraph, partitions: int):
         {"src": np.concatenate([u, v]), "dst": np.concatenate([v, u]), "w": np.concatenate([w, w])}
     )
     return spark.createDataFrame(sym, schema=EDGE_SCHEMA).repartition(partitions, "src")
+
+
+def lexsort_sync_block_moves(
+    b, a, K, k, lam, U, tol, all_active, aux, extra
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best move per active vertex against a snapshot, selected by two lexsorts.
+
+    The reference for ``par_louvain._sync_block_moves``: ``state.aggregate``
+    sums each active vertex's weight per neighbouring cluster, and a
+    ``(vertex, −Δ, cluster)`` lexsort picks the largest Δ, ties to the
+    smallest cluster id; detaching into ``U + v`` wins only when strictly
+    better.
+    """
+    from repro.core.par_louvain import _NO_MOVES, _active_verts
+    from repro.core.state import aggregate
+
+    act = _active_verts(b, all_active, aux, extra)
+    if not act.any():
+        return _NO_MOVES
+    sel = np.repeat(act, np.diff(b.indptr))
+    v, c, wvc = aggregate(b.src[sel], a[b.dst[sel]], b.w[sel])
+    uv, first = np.unique(v, return_index=True)
+    gi = np.repeat(np.arange(len(uv)), np.diff(np.append(first, len(v))))
+    cuv = a[uv]
+    kuv = k[uv]
+    own_rows = c == cuv[gi]
+    own_uv = np.zeros(len(uv))
+    own_uv[gi[own_rows]] = wvc[own_rows]
+    base_uv = own_uv - lam * kuv * (K[cuv] - kuv)
+    delta = (wvc - lam * kuv[gi] * K[c]) - base_uv[gi]
+    cand = ~own_rows
+    g_c, c_c, d_c = gi[cand], c[cand], delta[cand]
+    order = np.lexsort((c_c, -d_c, g_c))
+    g_s = g_c[order]
+    top = order[np.append(True, g_s[1:] != g_s[:-1])] if len(order) else order
+    best_d = np.full(len(uv), -np.inf)
+    best_c = np.full(len(uv), -1, dtype="int64")
+    best_d[g_c[top]] = d_c[top]
+    best_c[g_c[top]] = c_c[top]
+    iso = -base_uv > best_d
+    best_d[iso] = -base_uv[iso]
+    best_c[iso] = U + uv[iso]
+    keep = best_d > tol
+    return uv[keep], best_c[keep], best_d[keep]

@@ -1,13 +1,20 @@
-"""The shared local-move kernel (core.kernel.local_moves), checked move for move
-against the numpy-per-vertex loop it replaced (tests.helpers.numpy_local_moves)."""
+"""The move kernels, checked move for move against the code they replaced: the
+shared local-move kernel (core.kernel.local_moves) against the numpy-per-vertex
+loop (tests.helpers.numpy_local_moves), and the synchronous block kernel
+(par_louvain._sync_block_moves) against its lexsort selection
+(tests.helpers.lexsort_sync_block_moves)."""
 import numpy as np
 import pytest
 
 from repro.core.kernel import local_moves
-from repro.core.par_louvain import _async_block_moves
+from repro.core.par_louvain import _async_block_moves, _sync_block_moves
 from repro.core.state import Block, cluster_weights, densify, make_block, route
 
-from tests.helpers import numpy_async_block_moves, numpy_local_moves
+from tests.helpers import (
+    lexsort_sync_block_moves,
+    numpy_async_block_moves,
+    numpy_local_moves,
+)
 
 
 def _blocks(seed: int, n: int, m: int, unit: bool, partitions: int = 3) -> list[Block]:
@@ -110,3 +117,57 @@ class TestLocalMoves:
         got = local_moves([2, 0, 1], indptr, dst, w, range(3), a, K, [1.0] * 3, 0.1, 3, 1e-9)
         assert got == ([0], [1], [0.9])
         assert a == [1, 1, 2] and K[:3] == [0.0, 2.0, 1.0]
+
+
+class TestSyncBlockPass:
+    """``_sync_block_moves`` (one stable sort, segment max) against the lexsort selection."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("clusters", [5, 40, 120])
+    def test_unit_weights_many_ties(self, seed, clusters):
+        # Unit weights and k at λ=0.5 make many deltas tie exactly.
+        n = 120
+        a, U, K, k = _state(seed, n, clusters, unit_k=True)
+        for b in _blocks(seed, n, 400, unit=True):
+            args = (b, a, K, k, 0.5, U, 1e-9, True, None, None)
+            got = _sync_block_moves(*args)
+            assert len(got[0]) > 0
+            _assert_same(got, lexsort_sync_block_moves(*args))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("lam", [0.05, 0.3, 0.9])
+    def test_fractional_weights_sparse_frontier(self, seed, lam):
+        n = 150
+        rng = np.random.default_rng(seed + 7)
+        a, U, K, k = _state(seed, n, 20, unit_k=False)
+        aux = rng.random(n) < 0.05  # movers: their neighbours are active
+        extra = rng.random(n) < 0.05  # skipped or affected vertices
+        for b in _blocks(seed, n, 500, unit=False):
+            for frontier in ((True, None, None), (False, aux, extra), (False, None, extra)):
+                args = (b, a, K, k, lam, U, 1e-9, *frontier)
+                _assert_same(_sync_block_moves(*args), lexsort_sync_block_moves(*args))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_labels_at_least_u(self, seed):
+        """Labels in the pre-densify space, up to U + n, as after detaches."""
+        n = 100
+        rng = np.random.default_rng(seed + 11)
+        a, U, _, k = _state(seed, n, 10, unit_k=True)
+        detached = rng.random(n) < 0.3
+        a = np.where(detached, U + np.arange(n), a)
+        K = np.bincount(a, weights=k, minlength=U + n + 1)
+        for b in _blocks(seed, n, 350, unit=True):
+            args = (b, a, K, k, 0.5, U, 1e-9, True, None, None)
+            got = _sync_block_moves(*args)
+            assert (got[1] >= U).any()
+            _assert_same(got, lexsort_sync_block_moves(*args))
+
+    def test_empty_frontier(self):
+        n = 60
+        a, U, K, k = _state(0, n, 8, unit_k=True)
+        nobody = np.zeros(n, dtype=bool)
+        for b in _blocks(0, n, 200, unit=True):
+            for frontier in ((False, None, None), (False, nobody, nobody)):
+                got = _sync_block_moves(b, a, K, k, 0.5, U, 1e-9, *frontier)
+                assert [len(x) for x in got] == [0, 0, 0]
+                _assert_same(got, lexsort_sync_block_moves(b, a, K, k, 0.5, U, 1e-9, *frontier))

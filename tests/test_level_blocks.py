@@ -119,6 +119,15 @@ class _JobCounter:
             for group in self.groups.get(name, [])
         ]
 
+    def stages(self, name: str) -> list[int]:
+        """Stages of each call to ``name``, summed over its jobs (a shuffle adds one)."""
+        self.sc._jsc.sc().listenerBus().waitUntilEmpty()
+        tracker = self.sc.statusTracker()
+        return [
+            sum(len(tracker.getJobInfo(j).stageIds) for j in tracker.getJobIdsForGroup(group))
+            for group in self.groups.get(name, [])
+        ]
+
 
 class TestJobBudget:
     def test_one_job_per_step(self, spark, small_graph, monkeypatch):
@@ -203,10 +212,74 @@ class TestJobBudget:
         counter.wrap("compress")
         assign, stats = parallel_cc(gd, cfg)
         assert stats.levels[0].m_directed == state.DRIVER_ROWS
+        # Level 0's clustering has too many clusters to bound the child
+        # below DRIVER_ROWS, so its compress takes the shuffle path.
+        n_c = stats.levels[1].n
+        assert n_c * (n_c - 1) >= state.DRIVER_ROWS
         assert [l.driver for l in stats.levels] == [False, True, True]
         assert counter.jobs("compress") == [1, 0]
+        assert counter.stages("compress") == [2, 0]
         np.testing.assert_array_equal(assign, expected)
         assert stats.objective == expected_stats.objective
+
+    def test_few_clusters_of_large_level(self, spark, small_graph, monkeypatch):
+        """A level of DRIVER_ROWS rows clustered into n_c clusters with
+        n_c·(n_c − 1) < DRIVER_ROWS has a child sure to be a driver level: its
+        compress collects the pieces in one job of S tasks without a shuffle
+        stage, and builds the same child as the shuffle path."""
+        partitions = 8
+        tasks = min(partitions, spark.sparkContext.defaultParallelism)
+        monkeypatch.setattr(state, "DRIVER_ROWS", 2 * len(small_graph.edges))
+        gd = to_spark(spark, small_graph, partitions=partitions)
+        lvl = state.level0(gd, np.ones(small_graph.n), partitions=partitions)
+        try:
+            assert lvl.m_directed == state.DRIVER_ROWS and not lvl.driver
+            dense, n_c = state.densify(np.random.default_rng(3).integers(0, 20, small_graph.n))
+            assert n_c * (n_c - 1) < state.DRIVER_ROWS and lvl.children_in_driver(n_c)
+            counter = _JobCounter(spark, monkeypatch)
+            got = counter.run("collect", state.compress, lvl, dense, n_c, partitions=partitions)
+            monkeypatch.setattr(state.LevelGraph, "children_in_driver", lambda self, n_c: self.driver)
+            exp = counter.run("shuffle", state.compress, lvl, dense, n_c, partitions=partitions)
+        finally:
+            lvl.unpersist()
+        assert counter.jobs("collect") == [1] and counter.stages("collect") == [1]
+        assert counter.tasks("collect") == [tasks]
+        assert counter.jobs("shuffle") == [1] and counter.stages("shuffle") == [2]
+        assert got.driver and exp.driver
+        assert [b.part for b in got.blocks] == [b.part for b in exp.blocks]
+        for g_b, e_b in zip(got.blocks, exp.blocks):
+            for name in state.Block._fields[:-1]:
+                np.testing.assert_array_equal(getattr(g_b, name), getattr(e_b, name))
+        for name in ("k", "sq", "selfw", "deg"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(exp, name))
+        assert (got.n, got.m_directed) == (exp.n, exp.m_directed)
+
+    @pytest.mark.parametrize("weights", ["unit", "fractional"])
+    def test_refine_off_scores_deepest_level(self, spark, small_graph, monkeypatch, weights):
+        """Without refine the objective is scored on the deepest level, here a
+        driver level: no cc_objective job runs, and the value is the level-0
+        objective of the returned assignment."""
+        g = small_graph
+        if weights == "fractional":
+            w = np.random.default_rng(4).uniform(0.2, 2.0, len(g.edges))
+            g = GenGraph(name="fractional", n=g.n, edges=g.edges.assign(w=w))
+        gd = to_spark(spark, g, partitions=4)
+        counter = _JobCounter(spark, monkeypatch)
+        counter.wrap("cc_objective")
+        cfg = CCConfig(resolution=0.3, num_iter=3, max_levels=3, seed=12, partitions=4, refine=False)
+        assign, stats = parallel_cc(gd, cfg)
+        assert len(stats.levels) == 3 and stats.levels[-1].driver
+        assert counter.on_driver["cc_objective"] == [True]
+        assert counter.jobs("cc_objective") == [0]
+        lvl = state.level0(gd, np.ones(g.n), partitions=4)
+        try:
+            expected = state.cc_objective(lvl, assign, 0.3)
+        finally:
+            lvl.unpersist()
+        if weights == "unit":
+            assert stats.objective == expected
+        else:
+            assert stats.objective == pytest.approx(expected, rel=1e-12)
 
 
 class TestMaterialize:
