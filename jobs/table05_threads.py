@@ -7,7 +7,10 @@ core; beyond it, P varies only the async semantics (more, smaller
 stale-state domains), not the number of cores. Coarse levels with fewer
 than ``state.DRIVER_ROWS`` rows run in the driver whatever P is
 (``driver_levels`` column), so their share of the time does not scale
-with P. Reports self-relative speedup T(1)/T(P) for PAR-CC and PAR-MOD.
+with P. The runs here are async; a synchronous level 0 below
+``state.driver_rows(False)`` rows would run in the driver too and report
+``tasks`` 0, since no pass runs a Spark task. Reports self-relative
+speedup T(1)/T(P) for PAR-CC and PAR-MOD.
 """
 from __future__ import annotations
 

@@ -6,10 +6,12 @@ vertex's out-edges are co-located, sorted by ``src`` once; P logical
 blocks, run in min(P, cores) tasks; see ``state``); the O(n) vertex state
 (assignment, cluster weights ``K_c``, vertex weights ``k``, frontier masks)
 is broadcast each BEST-MOVES iteration. One iteration is exactly one
-Spark job, a ``mapPartitions`` pass over the level's blocks. Coarse levels
-below ``state.DRIVER_ROWS`` rows are held in the driver, where the same
-block functions run without a job (the level is too small to earn back a
-job's fixed cost); level 0 always runs in Spark:
+Spark job, a ``mapPartitions`` pass over the level's blocks. Levels below
+their kernel's bound (``state.driver_rows``: 2^19 rows for the async list
+kernel, 2^21 for the vectorized sync kernel) are held in the driver, where
+the same block functions run without a job (the level is too small to earn
+back a job's fixed cost). A synchronous level 0 below its bound is one of
+them; an async level 0 stays in Spark:
 
 - **synchronous** (§3.2.1): every frontier vertex evaluates the appendix
   move-delta formula against the same broadcast snapshot; all moves are
@@ -419,16 +421,18 @@ def parallel_cc(
     modularity = cfg.objective == "modularity"
     t0 = time.perf_counter()
     # Modularity's vertex weights are the weighted degrees (k=None).
-    lvl0 = level0(g, None if modularity else np.ones(g.n), partitions=cfg.partitions)
+    lvl0 = level0(
+        g, None if modularity else np.ones(g.n), partitions=cfg.partitions,
+        async_moves=cfg.async_moves,
+    )
     try:
         two_w = float(lvl0.deg.sum())
         if modularity:
             lam = cfg.resolution / two_w if two_w > 0 else 0.0
         else:
             lam = cfg.resolution
-        stats = RunStats(
-            algo=f"par-{cfg.objective}", lam=lam, two_w=two_w, tasks=lvl0.blocks.getNumPartitions()
-        )
+        tasks = 0 if lvl0.driver else lvl0.blocks.getNumPartitions()
+        stats = RunStats(algo=f"par-{cfg.objective}", lam=lam, two_w=two_w, tasks=tasks)
         assign = _recurse(lvl0, 0, lam, cfg, stats, compress_mode)
         stats.total_time = time.perf_counter() - t0
         if cfg.refine:

@@ -47,11 +47,16 @@ class GraphData:
     edges: DataFrame  # src, dst, w — both directions, src != dst
     n: int
     name: str = "graph"
+    rows: int | None = None  # directed rows of ``edges`` when the builder knows them
 
     @property
     def m_directed(self) -> int:
-        """Number of directed edge rows (2x the undirected edge count)."""
-        return self.edges.count()
+        """Number of directed edge rows (2x the undirected edge count).
+
+        Known without a job on a graph from :func:`to_spark`; otherwise one
+        ``count()``.
+        """
+        return self.edges.count() if self.rows is None else self.rows
 
 
 def _rotl(x: np.ndarray, r: int) -> np.ndarray:
@@ -163,7 +168,7 @@ def to_spark(spark: SparkSession, g: GenGraph, *, partitions: int = 8) -> GraphD
     w = g.edges["w"].to_numpy()
     src, dst, w = np.concatenate([u, v]), np.concatenate([v, u]), np.concatenate([w, w])
     parts = [(src[i], dst[i], w[i]) for i in partition_rows(src, partitions)]
-    return GraphData(edges=edges_frame(spark, parts), n=g.n, name=g.name)
+    return GraphData(edges=edges_frame(spark, parts), n=g.n, name=g.name, rows=len(src))
 
 
 def by_src(g: GraphData) -> GraphData:

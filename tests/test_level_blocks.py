@@ -15,7 +15,12 @@ from repro.core.state import make_block
 from repro.graphs.gen import GenGraph, planted_partition
 from repro.graphs.ops import partition_of, to_spark
 
-from tests.helpers import brute_cc, graph_from_rows as _graph, numpy_reported_objective
+from tests.helpers import (
+    brute_cc,
+    graph_from_rows as _graph,
+    numpy_reported_objective,
+    small_weighted_graph,
+)
 
 
 def _persistent_rdds(spark) -> int:
@@ -171,8 +176,9 @@ class TestJobBudget:
         assert counter.tasks("cc_objective") == [tasks]
 
     def test_driver_levels_launch_no_jobs(self, spark, small_graph, monkeypatch):
-        """Level 0 stays in Spark (one job of S tasks per step); the coarse levels,
-        far below DRIVER_ROWS, are held in the driver and launch no job."""
+        """An async level 0 stays in Spark (one job of S tasks per step); the
+        coarse levels, far below DRIVER_ROWS, are held in the driver and launch
+        no job."""
         partitions = 8
         tasks = min(partitions, spark.sparkContext.defaultParallelism)
         gd = to_spark(spark, small_graph, partitions=partitions)
@@ -254,6 +260,80 @@ class TestJobBudget:
             np.testing.assert_array_equal(getattr(got, name), getattr(exp, name))
         assert (got.n, got.m_directed) == (exp.n, exp.m_directed)
 
+    # PAR-MOD sync: its level 0 (small_graph, far below 2^21 rows) is
+    # collected into the driver.
+    _SYNC = CCConfig(
+        resolution=1.0, objective="modularity", async_moves=False, frontier="all",
+        num_iter=3, max_levels=3, seed=12, partitions=8,
+    )
+
+    @staticmethod
+    def _count_steps(spark, graph, monkeypatch, cfg):
+        gd = to_spark(spark, graph, partitions=cfg.partitions)
+        counter = _JobCounter(spark, monkeypatch)
+        counter.run("input", lambda: gd.edges.cache().count())
+        for name in ("level0", "_move_pass", "compress", "cc_objective"):
+            counter.wrap(name)
+        try:
+            _, stats = parallel_cc(gd, cfg)
+        finally:
+            gd.edges.unpersist()
+        return counter, stats
+
+    def test_sync_level0_in_driver(self, spark, small_graph, monkeypatch):
+        """A synchronous level 0 below its bound costs one level0 job (the Arrow
+        collect of the input); its passes, compress and objective, and every
+        level below it, run in the driver with no job."""
+        counter, stats = self._count_steps(spark, small_graph, monkeypatch, self._SYNC)
+        assert len(stats.levels) >= 2 and all(l.driver for l in stats.levels)
+        assert stats.tasks == 0
+        assert counter.jobs("level0") == [1]
+        assert counter.on_driver["compress"][0] and counter.on_driver["cc_objective"] == [True]
+        for name in ("_move_pass", "compress", "cc_objective"):
+            jobs = counter.jobs(name)
+            assert len(jobs) >= 1 and set(jobs) == {0}, name
+
+    def test_sync_level0_with_every_level_in_spark(self, spark, small_graph, monkeypatch):
+        """With DRIVER_ROWS = 0 the same synchronous config keeps one job per step."""
+        monkeypatch.setattr(state, "DRIVER_ROWS", 0)
+        counter, stats = self._count_steps(spark, small_graph, monkeypatch, self._SYNC)
+        assert not any(l.driver for l in stats.levels)
+        assert stats.tasks == min(self._SYNC.partitions, spark.sparkContext.defaultParallelism)
+        assert counter.jobs("level0") == [1]
+        passes = counter.jobs("_move_pass")
+        assert len(passes) >= stats.total_rounds and set(passes) == {1}
+        compresses = counter.jobs("compress")
+        assert len(compresses) == len(stats.levels) - 1 >= 1 and 1 <= min(compresses)
+        assert max(compresses) <= 2
+        assert counter.jobs("cc_objective") == [1]
+
+    def test_sync_bound_is_inherited(self, spark, small_graph, monkeypatch):
+        """A synchronous level 0 of at least 4·DRIVER_ROWS rows stays in Spark;
+        its child, of DRIVER_ROWS or more rows, is held in the driver under the
+        sync kernel's bound that it inherits, with the same outputs."""
+        gd = to_spark(spark, small_graph, partitions=self._SYNC.partitions)
+        expected, expected_stats = parallel_cc(gd, self._SYNC)
+        monkeypatch.setattr(state, "DRIVER_ROWS", expected_stats.levels[0].m_directed // 4)
+        assign, stats = parallel_cc(gd, self._SYNC)
+        assert stats.levels[0].m_directed >= state.driver_rows(False)
+        assert not stats.levels[0].driver
+        assert state.DRIVER_ROWS <= stats.levels[1].m_directed < state.driver_rows(False)
+        assert all(l.driver for l in stats.levels[1:])
+        np.testing.assert_array_equal(assign, expected)
+        assert stats.objective == expected_stats.objective
+
+    def test_async_level0_stays_in_spark(self, spark, small_graph, monkeypatch):
+        """The async kernel's level 0 of the same graph stays in Spark: one job
+        per level-0 pass."""
+        cfg = self._SYNC.with_(async_moves=True)
+        counter, stats = self._count_steps(spark, small_graph, monkeypatch, cfg)
+        assert not stats.levels[0].driver
+        assert stats.tasks == min(cfg.partitions, spark.sparkContext.defaultParallelism)
+        assert counter.jobs("level0") == [1]
+        passes = zip(counter.jobs("_move_pass"), counter.on_driver["_move_pass"])
+        level0_passes = [j for j, on_driver in passes if not on_driver]
+        assert len(level0_passes) >= stats.levels[0].iters and set(level0_passes) == {1}
+
     @pytest.mark.parametrize("weights", ["unit", "fractional"])
     def test_refine_off_scores_deepest_level(self, spark, small_graph, monkeypatch, weights):
         """Without refine the objective is scored on the deepest level, here a
@@ -280,6 +360,36 @@ class TestJobBudget:
             assert stats.objective == expected
         else:
             assert stats.objective == pytest.approx(expected, rel=1e-12)
+
+
+class TestCollectedLevel0:
+    """A synchronous level 0 collected into the driver holds the blocks that
+    the Spark path builds from the same input."""
+
+    @pytest.mark.parametrize("partitions", [1, 3, 8])
+    def test_blocks_equal_spark_blocks(self, spark, small_graph, partitions):
+        w = np.random.default_rng(partitions).uniform(0.2, 2.0, len(small_graph.edges))
+        g = GenGraph(name="fractional", n=small_graph.n, edges=small_graph.edges.assign(w=w))
+        gd = to_spark(spark, g, partitions=partitions)
+        assert gd.edges.rdd.getNumPartitions() == partitions
+        got = state.level0(gd, None, partitions=partitions, async_moves=False)
+        exp = state.level0(gd, None, partitions=partitions, async_moves=True)
+        try:
+            assert got.driver and not exp.driver
+            exp_blocks = sorted(exp.blocks.collect(), key=lambda b: b.part)
+        finally:
+            exp.unpersist()
+        assert [b.part for b in got.blocks] == [b.part for b in exp_blocks]
+        assert len(got.blocks) == partitions
+        for g_b, e_b in zip(got.blocks, exp_blocks):
+            for name in state.Block._fields:
+                g_x, e_x = np.asarray(getattr(g_b, name)), np.asarray(getattr(e_b, name))
+                assert g_x.dtype == e_x.dtype, name
+                np.testing.assert_array_equal(g_x, e_x)
+        for name in ("k", "sq", "selfw", "deg"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(exp, name))
+        assert got.m_directed == exp.m_directed == 2 * len(g.edges)
+        assert got.driver_rows == 4 * exp.driver_rows == 4 * state.DRIVER_ROWS
 
 
 class TestMaterialize:
@@ -438,6 +548,43 @@ class TestDegenerateInputs:
         assert stats.objective == pytest.approx(
             numpy_reported_objective(small_graph, assign, 0.3), rel=1e-9
         )
+
+    @pytest.mark.parametrize("objective", ["cc", "modularity"])
+    @pytest.mark.parametrize(
+        "case", ["zero-edges", "n=0", "n=1", "isolated", "fractional", "max_levels=1"]
+    )
+    def test_sync_level0_in_driver(self, spark, small_graph, case, objective):
+        """The synchronous kernel holds each of these level 0s in the driver
+        (an edgeless input collects one empty batch): every call returns a
+        dense clustering with its exact objective and leaves nothing persisted."""
+        g, levels = {
+            "zero-edges": (_graph(5, []), 20),
+            "n=0": (_graph(0, []), 20),
+            "n=1": (_graph(1, []), 20),
+            "isolated": (_graph(7, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (4, 5, 2.0)]), 20),
+            "fractional": (small_weighted_graph(3, n=40), 20),
+            "max_levels=1": (small_graph, 1),
+        }[case]
+        resolution = 0.3 if objective == "cc" else 1.0
+        cfg = CCConfig(
+            resolution=resolution, objective=objective, async_moves=False, num_iter=5,
+            max_levels=levels, seed=9, partitions=4,
+        )
+        gd = to_spark(spark, g, partitions=cfg.partitions)
+        before = _persistent_rdds(spark)
+        assign, stats = parallel_cc(gd, cfg)
+        assert _persistent_rdds(spark) == before
+        assert stats.levels[0].driver and stats.tasks == 0
+        assert len(assign) == g.n
+        np.testing.assert_array_equal(np.unique(assign), np.arange(stats.n_clusters))
+        assert stats.reported_objective == pytest.approx(
+            numpy_reported_objective(g, assign, resolution, objective), rel=1e-9, abs=1e-9
+        )
+        if len(g.edges) == 0:
+            np.testing.assert_array_equal(assign, np.arange(g.n))
+            assert stats.reported_objective == 0.0 and len(stats.levels) == 1
+        if levels == 1:
+            assert len(stats.levels) == 1 and stats.levels[0].time_compress == 0.0
 
     def test_partition_count_differs_from_input(self, spark, small_graph):
         """Input edges with another partition count are routed like repartition(P, "src")."""

@@ -8,6 +8,7 @@ from pyspark.sql import functions as F
 
 from repro.graphs import gen
 from repro.graphs.ops import (
+    GraphData,
     degree_array,
     degrees,
     partition_of,
@@ -38,6 +39,25 @@ def small_gd(spark, small_graph):
 class TestToSpark:
     def test_row_count_doubles(self, small_gd, small_graph):
         assert small_gd.m_directed == 2 * small_graph.m
+
+    def test_row_count_known_without_job(self, spark, small_graph):
+        """``to_spark``'s graph carries its directed row count; a graph built
+        elsewhere counts its rows."""
+        sc = spark.sparkContext
+        built = to_spark(spark, small_graph, partitions=4)
+        other = GraphData(repartition_reference(spark, small_graph, 4), small_graph.n)
+        jobs = []
+        for i, gd in enumerate((built, other)):
+            group = f"m-directed-{i}"
+            sc.setJobGroup(group, "m_directed")
+            try:
+                assert gd.m_directed == 2 * small_graph.m
+            finally:
+                sc.setLocalProperty("spark.jobGroup.id", None)
+            sc._jsc.sc().listenerBus().waitUntilEmpty()
+            jobs.append(len(sc.statusTracker().getJobIdsForGroup(group)))
+        assert built.rows == 2 * small_graph.m and other.rows is None
+        assert jobs[0] == 0 and jobs[1] >= 1
 
     def test_invariants(self, small_gd):
         validate(small_gd)
