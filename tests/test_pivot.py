@@ -107,8 +107,10 @@ def _isolated_graph() -> GenGraph:
 
 
 class TestPinnedOutputs:
-    """Fixed-seed KwikCluster labels, pinned so that a change of how its CSR is
-    built shows it visits the same neighbours in the same order."""
+    """Fixed-seed outputs. KwikCluster's labels are pinned so that a change of
+    how its CSR is built shows it visits the same neighbours in the same order;
+    C4's and ClusterWild!'s labels and round counts, so that a change of how
+    their rounds run shows the same pivots and joins."""
 
     @pytest.mark.parametrize(
         "graph, seed, expected_hash",
@@ -125,3 +127,44 @@ class TestPinnedOutputs:
     def test_isolated_labels(self):
         labels = kwikcluster(_isolated_graph(), seed=4)
         assert labels.tolist() == [1, 1, 1, 3, 4, 5, 8, 7, 8, 9]
+
+    @pytest.mark.parametrize(
+        "graph, partitions, seed, expected",
+        [
+            (
+                lambda: planted_partition(300, avg_deg=6, mixing=0.3, seed=4),
+                4,
+                1,
+                {"c4": ("5280ef058280dfc4", 11), "wild": ("85ccc928d7262778", 9)},
+            ),
+            (
+                lambda: planted_partition(250, avg_deg=6, mixing=0.3, seed=5),
+                4,
+                7,
+                {"c4": ("d50a860113efda76", 10), "wild": ("a11e7679f9f12df4", 9)},
+            ),
+            (
+                lambda: lite_graph("amazon-lite"),
+                8,
+                8,
+                {"c4": ("774e1d00c848df50", 24), "wild": ("3c4cfe17912eb25e", 22)},
+            ),
+        ],
+        ids=["planted-300", "planted-250", "amazon-lite"],
+    )
+    def test_parallel_pivot(self, spark, graph, partitions, seed, expected):
+        gd = to_spark(spark, graph(), partitions=partitions)
+        for variant, (expected_hash, expected_rounds) in expected.items():
+            labels, rounds = parallel_pivot(gd, variant=variant, seed=seed)
+            assert (_labels_hash(labels), rounds) == (expected_hash, expected_rounds), variant
+
+    @pytest.mark.parametrize("partitions", [3, 8])
+    def test_parallel_pivot_isolated_labels(self, spark, partitions):
+        gd = to_spark(spark, _isolated_graph(), partitions=partitions)
+        expected = {
+            "c4": [1, 1, 1, 3, 4, 5, 3, 7, 8, 9],
+            "wild": [0, 1, 1, 3, 4, 5, 3, 7, 8, 9],
+        }
+        for variant, expected_labels in expected.items():
+            labels, rounds = parallel_pivot(gd, variant=variant, seed=4)
+            assert (labels.tolist(), rounds) == (expected_labels, 5), variant
