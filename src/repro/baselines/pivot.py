@@ -11,25 +11,22 @@ poor (often negative) CC objective and poor precision/recall.
   each round activates a prefix of the remaining permutation;
   ``variant="c4"`` keeps only pivots with no smaller-rank unclustered
   neighbor (concurrency control ⇒ serializable with KwikCluster),
-  ``variant="wild"`` ignores conflicts (ClusterWild!). Neighbor
-  resolution and pivot validity are computed as distributed passes over
-  the edge DataFrame with broadcast state.
+  ``variant="wild"`` ignores conflicts (ClusterWild!). The input is held
+  once as the engine's level-0 blocks (:func:`~repro.core.state.level0`);
+  each round's pivot test and join are one block job each
+  (:meth:`~repro.core.state.LevelGraph.map_blocks`) with the round's
+  state broadcast.
 """
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
-from pyspark.sql.types import LongType, StructField, StructType
 
 from ..graphs.gen import GenGraph
 from ..graphs.ops import GraphData
-from ..core.state import map_edge_partitions, undirected_block
+from ..core.state import Block, LevelGraph, level0, undirected_block
 
 _UNSET = -1
-
-_PAIR_SCHEMA = StructType(
-    [StructField("v", LongType(), False), StructField("r", LongType(), False)]
-)
+_NONE = np.iinfo(np.int64).max  # min rank over no neighbor
 
 
 def kwikcluster(g: GenGraph, *, seed: int = 0) -> np.ndarray:
@@ -49,6 +46,31 @@ def kwikcluster(g: GenGraph, *, seed: int = 0) -> np.ndarray:
     return labels
 
 
+def _min_nbr_ranks(
+    b: Block, state: tuple[np.ndarray, np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per source vertex of ``b``: the min rank over its unclustered neighbors
+    and over its pivot neighbors (``_NONE`` where it has none)."""
+    labels, rank, is_pivot = state
+    r = rank[b.dst]
+    starts = b.indptr[:-1]
+    min_unc = np.minimum.reduceat(np.where(labels[b.dst] == _UNSET, r, _NONE), starts)
+    min_piv = np.minimum.reduceat(np.where(is_pivot[b.dst], r, _NONE), starts)
+    return b.verts, min_unc, min_piv
+
+
+def _round_min_ranks(
+    level: LevelGraph, labels: np.ndarray, rank: np.ndarray, is_pivot: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_min_nbr_ranks` of every vertex, in one job over the level's blocks."""
+    min_unc = np.full(level.n, _NONE, dtype="int64")
+    min_piv = np.full(level.n, _NONE, dtype="int64")
+    for verts, unc, piv in level.map_blocks(_min_nbr_ranks, (labels, rank, is_pivot)):
+        min_unc[verts] = unc
+        min_piv[verts] = piv
+    return min_unc, min_piv
+
+
 def parallel_pivot(
     g: GraphData,
     *,
@@ -57,7 +79,12 @@ def parallel_pivot(
     prefix_frac: float = 0.25,
     max_rounds: int = 200,
 ) -> tuple[np.ndarray, int]:
-    """Round-based parallel pivots; returns (labels, rounds used)."""
+    """Round-based parallel pivots; returns (labels, rounds used).
+
+    The level-0 blocks take the input's own partitions: one job builds them,
+    then each round runs one job for ClusterWild! and two for C4. The level is
+    released on return, whether the call succeeds or fails.
+    """
     if variant not in ("c4", "wild"):
         raise ValueError(variant)
     n = g.n
@@ -67,103 +94,38 @@ def parallel_pivot(
     is_pivot = np.zeros(n, dtype=bool)
     inv_rank = np.empty(n, dtype="int64")
     inv_rank[rank] = np.arange(n)
-    sc = g.edges.sparkSession.sparkContext
-    big = np.iinfo(np.int64).max
+    level = level0(g, partitions=g.edges.rdd.getNumPartitions())
     rounds = 0
-    for _ in range(max_rounds):
-        remaining = np.flatnonzero(labels == _UNSET)
-        if len(remaining) == 0:
-            break
-        rounds += 1
-        thresh = np.partition(rank[remaining], max(0, int(len(remaining) * prefix_frac)))[
-            max(0, int(len(remaining) * prefix_frac))
-        ]
-        active = (labels == _UNSET) & (rank <= thresh)
-
-        if variant == "c4":
-            # Serializability needs, per unclustered vertex, the min rank
-            # over *unclustered* neighbors (potential future pivots) and
-            # over *pivot* neighbors (already decided).
-            bc = sc.broadcast((labels, rank, is_pivot))
-
-            def min_nbr_ranks(pdf: pd.DataFrame) -> pd.DataFrame:
-                lb, rk, pv = bc.value
-                s = pdf["src"].to_numpy()
-                d = pdf["dst"].to_numpy()
-                out = []
-                for kind, keep in (("u", lb[d] == _UNSET), ("p", pv[d])):
-                    if keep.any():
-                        grp = (
-                            pd.DataFrame({"v": s[keep], "r": rk[d[keep]]})
-                            .groupby("v", sort=False)["r"]
-                            .min()
-                            .reset_index()
-                        )
-                        grp["v"] = grp["v"] * 2 + (0 if kind == "u" else 1)
-                        out.append(grp)
-                if not out:
-                    return pd.DataFrame({"v": [], "r": []}).astype("int64")
-                return pd.concat(out).astype("int64")
-
-            try:
-                pdf = map_edge_partitions(
-                    g.edges, min_nbr_ranks, _PAIR_SCHEMA
-                ).toPandas()
-            finally:
-                bc.destroy()
-            min_unc = np.full(n, big, dtype="int64")
-            min_piv = np.full(n, big, dtype="int64")
-            if len(pdf):
-                kinds = pdf["v"].to_numpy() % 2
-                vids = pdf["v"].to_numpy() // 2
-                rs = pdf["r"].to_numpy()
-                np.minimum.at(min_unc, vids[kinds == 0], rs[kinds == 0])
-                np.minimum.at(min_piv, vids[kinds == 1], rs[kinds == 1])
-            # A vertex pivots iff its turn would come before any neighbor
-            # that is (or could still become) a pivot.
-            pivots = active & (rank < min_unc) & (rank < min_piv)
-        else:
-            min_unc = None
-            pivots = active
-
-        piv_ids = np.flatnonzero(pivots)
-        labels[piv_ids] = piv_ids
-        is_pivot[piv_ids] = True
-        # Unclustered vertices adjacent to a pivot join the min-rank one.
-        bc2 = sc.broadcast((labels, rank, is_pivot))
-
-        def best_pivot(pdf: pd.DataFrame) -> pd.DataFrame:
-            lb, rk, pv = bc2.value
-            s = pdf["src"].to_numpy()
-            d = pdf["dst"].to_numpy()
-            keep = (lb[s] == _UNSET) & pv[d]
-            if not keep.any():
-                return pd.DataFrame({"v": [], "r": []}).astype("int64")
-            out = (
-                pd.DataFrame({"v": s[keep], "r": rk[d[keep]]})
-                .groupby("v", sort=False)["r"]
-                .min()
-                .reset_index()
-            )
-            return out.astype("int64")
-
-        try:
-            joins = map_edge_partitions(g.edges, best_pivot, _PAIR_SCHEMA).toPandas()
-        finally:
-            bc2.destroy()
-        if len(joins):
-            best = joins.groupby("v", sort=False)["r"].min()
-            vs = best.index.to_numpy()
-            rs = best.to_numpy()
+    try:
+        for _ in range(max_rounds):
+            remaining = np.flatnonzero(labels == _UNSET)
+            if len(remaining) == 0:
+                break
+            rounds += 1
+            cut = max(0, int(len(remaining) * prefix_frac))
+            thresh = np.partition(rank[remaining], cut)[cut]
+            pivots = (labels == _UNSET) & (rank <= thresh)
+            if variant == "c4":
+                # A vertex pivots iff its turn would come before any neighbor
+                # that is (or could still become) a pivot.
+                min_unc, min_piv = _round_min_ranks(level, labels, rank, is_pivot)
+                pivots &= (rank < min_unc) & (rank < min_piv)
+            piv_ids = np.flatnonzero(pivots)
+            labels[piv_ids] = piv_ids
+            is_pivot[piv_ids] = True
+            # Unclustered vertices adjacent to a pivot join the min-rank one.
+            _, best = _round_min_ranks(level, labels, rank, is_pivot)
+            join = (labels == _UNSET) & (best < _NONE)
             if variant == "c4":
                 # Serializability gate: v may join pivot p only if no
                 # still-unclustered neighbor could pivot before p. min_unc
                 # is the round-start view, so a neighbor that just became
                 # a pivot this round appears on both sides (<=, ranks are
                 # distinct so equality means "same vertex").
-                keep = rs <= min_unc[vs]
-                vs, rs = vs[keep], rs[keep]
-            labels[vs] = inv_rank[rs]
+                join &= best <= min_unc
+            labels[join] = inv_rank[best[join]]
+    finally:
+        level.unpersist()
     # Any stragglers become singletons (only if max_rounds was hit).
     left = labels == _UNSET
     labels[left] = np.flatnonzero(left)

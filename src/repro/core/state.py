@@ -517,6 +517,13 @@ def map_edge_partitions(
 ) -> DataFrame:
     """mapInPandas with whole-partition semantics.
 
+    No algorithm runs on it: every level step is a :meth:`LevelGraph.map_blocks`
+    job. It stays for its two remaining users, the benchmark's traced probe
+    ``probe.noop_map_in_pandas_s`` (``perfbench/run.py``), whose workload
+    files change only with the benchmark, and ``tests/test_worker_imports.py``,
+    which checks that its tasks keep their zip indexes. It goes when the
+    probe does.
+
     Arrow hands mapInPandas a partition as a *chunk iterator*; a vertex
     program needs all edges of a vertex at once (they are co-located when
     edges are hash-partitioned by src), so chunks are concatenated before

@@ -1,22 +1,12 @@
-"""Experiment harness helpers: timing records and table formatting.
+"""Experiment harness helper: table formatting.
 
-Every ``jobs/tableNN_*.py`` builds a list of row dicts through these
-helpers and prints the table the corresponding section of the paper
+Every ``jobs/tableNN_*.py`` builds a list of row dicts and prints it with
+:func:`table` as the table the corresponding section of the paper
 reports, so EXPERIMENTS.md can diff paper vs measured.
 """
 from __future__ import annotations
 
-import time
-from typing import Callable
-
 import pandas as pd
-
-
-def timed(fn: Callable, *args, **kw):
-    """Run ``fn`` returning (result, seconds)."""
-    t0 = time.perf_counter()
-    out = fn(*args, **kw)
-    return out, time.perf_counter() - t0
 
 
 def table(rows: list[dict], *, title: str, floatfmt: int = 4) -> pd.DataFrame:

@@ -186,17 +186,6 @@ def by_src(g: GraphData) -> GraphData:
     return GraphData(edges=edges, n=g.n, name=g.name)
 
 
-def symmetrize(edges: DataFrame) -> DataFrame:
-    """Both directions of an undirected (u < v) edge DataFrame."""
-    fwd = edges.select(
-        F.col("u").alias("src"), F.col("v").alias("dst"), F.col("w").alias("w")
-    )
-    rev = edges.select(
-        F.col("v").alias("src"), F.col("u").alias("dst"), F.col("w").alias("w")
-    )
-    return fwd.unionByName(rev)
-
-
 def degrees(g: GraphData) -> DataFrame:
     """Weighted degree per vertex: ``deg(v) = sum of w over incident edges``.
 

@@ -120,9 +120,3 @@ class TestHarness:
         out = capsys.readouterr().out
         assert "demo" in out and "a" in out
         assert isinstance(df, pd.DataFrame) and len(df) == 1
-
-    def test_timed(self):
-        from repro.eval.harness import timed
-
-        out, secs = timed(lambda x: x * 2, 21)
-        assert out == 42 and secs >= 0

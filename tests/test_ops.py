@@ -12,7 +12,6 @@ from repro.graphs.ops import (
     degree_array,
     degrees,
     partition_of,
-    symmetrize,
     to_spark,
     validate,
 )
@@ -176,15 +175,3 @@ class TestDegrees:
     def test_handshake(self, small_gd, small_graph):
         # Sum of unweighted degrees == 2m.
         assert degree_array(small_gd).sum() == pytest.approx(2 * small_graph.m)
-
-
-class TestSymmetrize:
-    def test_symmetrize_counts(self, spark, small_graph):
-        und = spark.createDataFrame(small_graph.edges)
-        sym = symmetrize(und)
-        assert sym.count() == 2 * small_graph.m
-        assert_equivalent(
-            sym.groupBy().agg(F.sum("w").alias("tw")),
-            "SELECT 2 * SUM(w) AS tw FROM e",
-            e=small_graph.edges,
-        )

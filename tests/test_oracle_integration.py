@@ -5,6 +5,7 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
+from repro.baselines.pivot import _min_nbr_ranks
 from repro.baselines.tectonic import tectonic_weights
 from repro.core.state import intra_weight, level0
 from repro.graphs.gen import planted_partition
@@ -49,6 +50,37 @@ class TestIntraWeightOracle:
             "SELECT COALESCE(SUM(w), 0) FROM sym WHERE cs = cd"
         ).fetchone()[0]
         assert got == pytest.approx(float(exp), rel=1e-9)
+
+
+class TestPivotRoundOracle:
+    def test_min_neighbor_ranks_match_duckdb(self, spark, graph_pair):
+        """A pivot round's per-vertex min rank over unclustered and over pivot
+        neighbors, from the level-0 blocks, against a DuckDB join + GROUP BY."""
+        g, gd = graph_pair
+        rng = np.random.default_rng(41)
+        rank = rng.permutation(g.n).astype("int64")
+        is_pivot = rng.random(g.n) < 0.15
+        labels = np.where(rng.random(g.n) < 0.5, -1, rng.integers(0, g.n, g.n))
+        labels[is_pivot] = np.flatnonzero(is_pivot)
+        lvl = level0(gd, partitions=4)
+        try:
+            parts = lvl.map_blocks(_min_nbr_ranks, (labels, rank, is_pivot))
+        finally:
+            lvl.unpersist()
+        verts, min_unc, min_piv = (np.concatenate(c) for c in zip(*parts))
+        state = pd.DataFrame(
+            {"v": np.arange(g.n), "label": labels, "rank": rank, "pivot": is_pivot}
+        )
+        none = np.iinfo(np.int64).max
+        for got, keep in ((min_unc, "s.label = -1"), (min_piv, "s.pivot")):
+            has = got < none
+            assert_equivalent(
+                spark.createDataFrame(pd.DataFrame({"src": verts[has], "r": got[has]})),
+                "SELECT e.src, MIN(s.rank) AS r FROM sym e JOIN state s ON e.dst = s.v "
+                f"WHERE {keep} GROUP BY e.src",
+                sym=_sym_pdf(g),
+                state=state,
+            )
 
 
 class TestClusterSizesOracle:

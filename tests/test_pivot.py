@@ -5,11 +5,14 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.baselines import pivot
 from repro.baselines.pivot import kwikcluster, parallel_pivot
+from repro.core.state import LevelGraph
 from repro.graphs.gen import GenGraph, lite_graph, planted_partition
 from repro.graphs.ops import to_spark
 
 from tests.helpers import numpy_reported_objective
+from tests.test_level_blocks import _JobCounter
 
 
 def _clique(n: int) -> GenGraph:
@@ -95,6 +98,65 @@ class TestParallelPivot:
         labels, _ = parallel_pivot(gd, variant="wild", seed=2)
         obj = numpy_reported_objective(g, labels, 0.85)
         assert obj < 0  # large λ punishes the coarse pivot clusters
+
+
+def _persisted_ids(spark) -> set:
+    return set(spark.sparkContext._jsc.getPersistentRDDs().keySet())
+
+
+class TestStorageAndJobs:
+    """``parallel_pivot`` persists the input's level-0 blocks for its rounds: it
+    releases them however it returns, and runs one job to build them plus one
+    block job per round step."""
+
+    @pytest.fixture(autouse=True)
+    def _no_storage_left_by_earlier_tests(self, spark):
+        # Spark's ContextCleaner drops a leftover persisted RDD whenever the JVM
+        # collects its owner, which could fall inside a call counted here.
+        for rdd in spark.sparkContext._jsc.getPersistentRDDs().values():
+            rdd.unpersist()
+
+    @pytest.fixture(scope="class")
+    def gd(self, spark):
+        return to_spark(spark, planted_partition(250, avg_deg=6, mixing=0.3, seed=5), partitions=4)
+
+    @pytest.mark.parametrize("variant", ["c4", "wild"])
+    def test_no_persisted_rdd_left(self, spark, gd, variant):
+        before = _persisted_ids(spark)
+        parallel_pivot(gd, variant=variant, seed=7)
+        assert _persisted_ids(spark) == before
+
+    @pytest.mark.parametrize("variant", ["c4", "wild"])
+    def test_no_persisted_rdd_left_after_failure(self, spark, gd, variant, monkeypatch):
+        real = LevelGraph.map_blocks
+        calls = []
+
+        def boom(b, shared):
+            raise RuntimeError("injected block failure")
+
+        def failing(level, fn, shared):
+            calls.append(fn)
+            return real(level, boom if len(calls) == 3 else fn, shared)
+
+        monkeypatch.setattr(LevelGraph, "map_blocks", failing)
+        before = _persisted_ids(spark)
+        with pytest.raises(Exception, match="injected block failure"):
+            parallel_pivot(gd, variant=variant, seed=7)
+        assert calls == [pivot._min_nbr_ranks] * 3
+        assert _persisted_ids(spark) == before
+
+    @pytest.mark.parametrize("variant, jobs_per_round", [("c4", 2), ("wild", 1)])
+    def test_job_count(self, spark, gd, monkeypatch, variant, jobs_per_round):
+        counter = _JobCounter(spark, monkeypatch)
+        _, rounds = counter.run("pivot", parallel_pivot, gd, variant=variant, seed=7)
+        assert counter.jobs("pivot") == [1 + jobs_per_round * rounds]
+
+    @pytest.mark.parametrize("partitions", [3, 8])
+    @pytest.mark.parametrize("variant", ["c4", "wild"])
+    def test_edgeless_graph_singletons(self, spark, partitions, variant):
+        g = GenGraph(name="edgeless", n=7, edges=pd.DataFrame({"u": [], "v": [], "w": []}))
+        labels, rounds = parallel_pivot(to_spark(spark, g, partitions=partitions), variant=variant)
+        assert labels.tolist() == list(range(7)) and rounds >= 1
 
 
 def _labels_hash(labels: np.ndarray) -> str:
