@@ -5,8 +5,10 @@ graphs) for each resolution and reports wall-clock speedup, the
 objective ratio PAR/SEQ, and the round-count ratio — the three numbers
 Figures 4 and 5 plot.
 
-Substrate note (DESIGN.md §7): Spark's ~0.3 s/iteration job overhead
-means PAR only wins once per-round edge work dominates, so the headline
+Substrate note (DESIGN.md §7): Spark's fixed cost of J ≈ 0.12 s per
+iteration job (4 tasks on 4 cores), and the driver placement of every
+level below 2^21 rows that it motivates, mean PAR only wins once
+per-round edge work dominates, so the headline
 speedups come from lj-big; on the small graphs PAR loses wall-clock,
 which is the honest crossover for this substrate.
 """

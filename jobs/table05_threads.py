@@ -7,9 +7,9 @@ core; beyond it, P varies only the async semantics (more, smaller
 stale-state domains), not the number of cores. Coarse levels with fewer
 than ``state.DRIVER_ROWS`` rows run in the driver whatever P is
 (``driver_levels`` column), so their share of the time does not scale
-with P. The runs here are async; a synchronous level 0 below
-``state.driver_rows(False)`` rows would run in the driver too and report
-``tasks`` 0, since no pass runs a Spark task. Reports self-relative
+with P. That holds for level 0 too: a graph below the bound runs wholly
+in the driver and reports ``tasks`` 0, since no pass runs a Spark task,
+so only graphs above it measure Spark's scaling. Reports self-relative
 speedup T(1)/T(P) for PAR-CC and PAR-MOD.
 """
 from __future__ import annotations

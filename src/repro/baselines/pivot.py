@@ -82,7 +82,9 @@ def parallel_pivot(
     """Round-based parallel pivots; returns (labels, rounds used).
 
     The level-0 blocks take the input's own partitions: one job builds them,
-    then each round runs one job for ClusterWild! and two for C4. The level is
+    then each round runs one block step for ClusterWild! and two for C4, a
+    job each when the level is in Spark and none when it has fewer than
+    ``state.DRIVER_ROWS`` rows and is held in the driver. The level is
     released on return, whether the call succeeds or fails.
     """
     if variant not in ("c4", "wild"):

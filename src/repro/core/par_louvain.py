@@ -7,11 +7,9 @@ blocks, run in min(P, cores) tasks; see ``state``); the O(n) vertex state
 (assignment, cluster weights ``K_c``, vertex weights ``k``, frontier masks)
 is broadcast each BEST-MOVES iteration. One iteration is exactly one
 Spark job, a ``mapPartitions`` pass over the level's blocks. Levels below
-their kernel's bound (``state.driver_rows``: 2^19 rows for the async list
-kernel, 2^21 for the vectorized sync kernel) are held in the driver, where
-the same block functions run without a job (the level is too small to earn
-back a job's fixed cost). A synchronous level 0 below its bound is one of
-them; an async level 0 stays in Spark:
+``state.DRIVER_ROWS`` = 2^21 rows, level 0 included, are held in the
+driver, where the same block functions run without a job (the level is
+too small to earn back a job's fixed cost):
 
 - **synchronous** (§3.2.1): every frontier vertex evaluates the appendix
   move-delta formula against the same broadcast snapshot; all moves are
@@ -24,7 +22,7 @@ them; an async level 0 stays in Spark:
 - **asynchronous** (§3.2.1): inside each edge partition the vertices are
   processed sequentially in random order against *partition-local* copies
   of the assignment/``K_c`` arrays that are updated immediately (the
-  ``kernel.local_moves`` loop SEQ-CC's sweeps also run); across
+  compiled ``kernel.local_moves`` loop SEQ-CC's sweeps also run); across
   partitions the state is stale. This reproduces the paper's
   relaxed-consistency lock-free moves at partition granularity. Because a
   BSP step cannot interleave timing the way free-running threads do, each
@@ -205,17 +203,8 @@ def _async_block_moves(
     # iteration, and this partition's smallest vertex id.
     rng = np.random.default_rng((seed * 1_000_003 + int(b.verts[0])) % (2**63))
     rng.shuffle(active)
-    local_K = K.tolist()
-    local_K.extend([0.0] * (n + 1))
-    mv_v, mv_c, mv_d = local_moves(
-        active.tolist(), b.indptr.tolist(), b.dst.tolist(), b.w.tolist(), b.verts.tolist(),
-        a.tolist(), local_K, k.tolist(), lam, U, tol,
-    )
-    return (
-        np.asarray(mv_v, "int64"),
-        np.asarray(mv_c, "int64"),
-        np.asarray(mv_d, "float64"),
-    )
+    local_K = np.concatenate([K, np.zeros(n + 1)])
+    return local_moves(active, b.indptr, b.dst, b.w, b.verts, a.copy(), local_K, k, lam, U, tol)
 
 
 def _move_pass(
@@ -421,10 +410,7 @@ def parallel_cc(
     modularity = cfg.objective == "modularity"
     t0 = time.perf_counter()
     # Modularity's vertex weights are the weighted degrees (k=None).
-    lvl0 = level0(
-        g, None if modularity else np.ones(g.n), partitions=cfg.partitions,
-        async_moves=cfg.async_moves,
-    )
+    lvl0 = level0(g, None if modularity else np.ones(g.n), partitions=cfg.partitions)
     try:
         two_w = float(lvl0.deg.sum())
         if modularity:

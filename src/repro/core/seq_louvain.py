@@ -29,6 +29,7 @@ from .state import (
     Timer,
     base_level,
     cc_objective,
+    cluster_weights,
     compress,
     densify,
     undirected_block,
@@ -60,24 +61,21 @@ def _sweeps(
     (b,) = level.blocks
     # Row offsets by vertex id, so the kernel visits vertex ids and a vertex
     # without rows (isolated) is skipped.
-    indptr = np.searchsorted(b.src, np.arange(level.n + 1)).tolist()
-    dst, ws, k = b.dst.tolist(), b.w.tolist(), level.k.tolist()
-    verts = range(level.n)
+    verts = np.arange(level.n)
+    indptr = np.searchsorted(b.src, np.arange(level.n + 1))
     frontier = np.ones(level.n, dtype=bool)
     total_moves = 0
     sweeps = 0
     for _ in range(cfg.effective_num_iter):
         sweeps += 1
         order = rng.permutation(np.flatnonzero(frontier))
-        a = assign.tolist()
-        K = np.bincount(assign, weights=level.k, minlength=U).tolist()
-        K.extend([0.0] * (level.n + 1))
+        K = np.zeros(U + level.n + 1)  # room for the detach labels U + v
+        K[:U] = cluster_weights(assign, level.k, U)
         moved, _, _ = local_moves(
-            order.tolist(), indptr, dst, ws, verts, a, K, k, lam, U, cfg.move_tol
+            order, indptr, b.dst, b.w, verts, assign, K, level.k, lam, U, cfg.move_tol
         )
-        if not moved:
+        if len(moved) == 0:
             break
-        assign = np.asarray(a, dtype="int64")
         total_moves += len(moved)
         if cfg.frontier == "all":
             frontier = np.ones(level.n, dtype=bool)

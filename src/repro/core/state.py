@@ -10,17 +10,16 @@ with the row range of each source vertex). P logical blocks, run in
 min(P, cores) tasks: the blocks stay resident as one persisted RDD with
 S = ``task_count(P)`` Spark partitions, block ``p`` in Spark partition
 ``p * S // P`` (``level0`` keeps Spark's own grouping when it coalesces its
-input), so every per-block job is one wave of S tasks. A level with fewer
-directed rows than its bound, :func:`driver_rows` of the kernel that runs
-its passes (2^19 for the async list kernel, 2^21 for the vectorized sync
-kernel), is instead held in the driver as a list of the same blocks, and
-every step on it runs the same per-block functions there, without a Spark
-job (:meth:`LevelGraph.map_blocks`). A synchronous level 0 below its bound
-is built there from one Arrow collect of the input; an async level 0 stays
-in Spark. :func:`compress` builds a driver child from pieces collected
-without a shuffle whenever its row bound min(m, n_c·(n_c − 1)) is below the
-bound (:meth:`LevelGraph.children_in_driver`). Where a level lives changes
-no output: its blocks, seeds and order of summation are the same.
+input), so every per-block job is one wave of S tasks. A level with
+fewer than ``DRIVER_ROWS`` = 2^21 directed rows is instead held in the
+driver as a list of the same blocks, and every step on it runs the same
+per-block functions there, without a Spark job
+(:meth:`LevelGraph.map_blocks`). A level 0 below the bound is built there
+from one Arrow collect of the input. :func:`compress` builds a driver
+child from pieces collected without a shuffle whenever its row bound
+min(m, n_c·(n_c − 1)) is below ``DRIVER_ROWS``
+(:meth:`LevelGraph.children_in_driver`). Where a level lives changes no
+output: its blocks, seeds and order of summation are the same.
 SEQ-CC's levels are such driver levels from the start, with one block
 (P = 1; :func:`base_level`).
 Per-vertex driver state (O(n) numpy arrays) rides alongside:
@@ -95,34 +94,28 @@ _keep_worker_zip_indexes()
 _NO_IDS = np.empty(0, dtype="int64")
 _NO_WEIGHTS = np.empty(0, dtype="float64")
 
-# A level with fewer directed rows than its bound is held in the driver; the
-# bound depends on the kernel that runs its move passes (:func:`driver_rows`).
+# A level with fewer directed rows than DRIVER_ROWS is held in the driver. The
+# bound is read at call time, so DRIVER_ROWS = 0 puts every level in Spark.
 # A pass over r rows costs about J + c·r/S as an S-task Spark job and c·r in
 # the driver, so the driver is cheaper below r = J·S/((S−1)·c). Measured on a
 # 4-core container, J ≈ 0.12 s (p50 of a no-op 4-task Python job in workers
 # that have imported this module).
-# - Async list kernel: c ≈ 0.6–1.0 µs per row (lj-lite's level-0 blocks),
-#   giving 0.16–0.27M rows. The rule leaves out that a child held in Spark
-#   also costs compress a shuffle: at 2^18 rows lj-lite's 300k-row level 1
-#   went to Spark and a traced run got slower (compress 0.28–0.31 →
-#   0.54–0.58 s), so the bound is DRIVER_ROWS = 2^19.
 # - Vectorized sync kernel: c ≈ 0.05 µs per row (22–42 ms for orkut's 608k
 #   level-0 rows), giving about 3M rows. A size sweep of PAR-MOD sync (refine
 #   off, num_iter=4, max_levels=2) with level 0 in Spark against the driver
 #   took 1.74–1.87 against 1.17–1.28 s at 1.2M directed rows, 2.71–3.40
 #   against 2.39–2.60 s at 2.4M, and 4.35–5.03 against 4.72–5.05 s at 4.9M
-#   (the driver loses), so the bound is 4·DRIVER_ROWS = 2^21.
-DRIVER_ROWS = 1 << 19
-
-
-def driver_rows(async_moves: bool) -> int:
-    """Directed rows below which a level whose passes run this kernel is held in the driver.
-
-    ``DRIVER_ROWS`` for the async list kernel and four times it for the
-    vectorized sync kernel, read at call time: ``DRIVER_ROWS = 0`` puts
-    every level in Spark.
-    """
-    return DRIVER_ROWS if async_moves else 4 * DRIVER_ROWS
+#   (the driver loses).
+# - Compiled async kernel (``kernel.local_moves``): c ≈ 0.015 µs per row
+#   (6–9 ms for lj-lite's 418k level-0 rows), so its crossover is higher
+#   still. A sweep of PAR-CC async (λ=0.5, frontier vertices, refine,
+#   num_iter=4, max_levels=2, lj-lite-shaped graphs) with level 0 in Spark
+#   (a bound of its own row count, so coarser levels stay in the driver)
+#   against the driver took 2.42–4.93 against 1.21–1.42 s at 1.2M directed
+#   rows, 3.57–3.82 against 2.19–2.51 s at 2.4M, and 5.89–6.40 against
+#   5.40–5.78 s at 4.9M (the driver still wins).
+# The sync kernel's crossover sets the one bound for both kernels: 2^21.
+DRIVER_ROWS = 1 << 21
 
 
 class Block(NamedTuple):
@@ -268,9 +261,6 @@ class LevelGraph:
     selfw: np.ndarray
     deg: np.ndarray  # weighted degree of each vertex over this level's edges
     m_directed: int = 0  # number of directed edge rows
-    # A child with fewer rows is held in the driver (driver_rows of the
-    # kernel, set by level0 and inherited by every coarser level).
-    driver_rows: int = 0
 
     @property
     def driver(self) -> bool:
@@ -281,13 +271,13 @@ class LevelGraph:
         """Whether compressing this level into ``n_clusters`` clusters builds a driver level.
 
         True on a driver level, and whenever the child is sure to have fewer
-        than this level's ``driver_rows``. It has at most min(m_directed,
+        than ``DRIVER_ROWS`` rows. It has at most min(m_directed,
         n_c·(n_c − 1)) of them: compression never adds rows, and the child
         keeps one row per ordered pair of distinct clusters (its self loops
         are split off).
         """
         bound = min(self.m_directed, n_clusters * (n_clusters - 1))
-        return self.driver or bound < self.driver_rows
+        return self.driver or bound < DRIVER_ROWS
 
     def map_blocks(self, fn: Callable[[Block, Any], Any], shared: Any) -> list:
         """``fn(block, shared)`` for every block.
@@ -377,15 +367,15 @@ def coarsened(
 ) -> LevelGraph:
     """Hold ``blocks`` as the level that ``assign_dense`` coarsens ``level`` into.
 
-    The level inherits ``level.driver_rows`` and goes to the driver if it has
-    fewer rows (see :func:`_materialize`). A directed self loop counts each
+    The level goes to the driver if it has fewer than ``DRIVER_ROWS`` rows
+    (see :func:`_materialize`). A directed self loop counts each
     unordered intra edge twice, so half of its weight joins ``selfw``.
     """
 
     def fold(x: np.ndarray) -> np.ndarray:
         return np.bincount(assign_dense, weights=x, minlength=n_clusters)
 
-    blocks, m, deg, loops = _materialize(blocks, n_clusters, partitions, level.driver_rows)
+    blocks, m, deg, loops = _materialize(blocks, n_clusters, partitions, DRIVER_ROWS)
     return LevelGraph(
         blocks=blocks,
         n=n_clusters,
@@ -394,7 +384,6 @@ def coarsened(
         selfw=fold(level.selfw) + loops / 2.0,
         deg=deg,
         m_directed=m,
-        driver_rows=level.driver_rows,
     )
 
 
@@ -419,24 +408,12 @@ def _arrow_columns(messages: Iterator[bytes]) -> Iterator[tuple[np.ndarray, ...]
     yield tuple(table.column(c).to_numpy() for c in schema.names)
 
 
-def level0(
-    g: GraphData,
-    k: np.ndarray | None = None,
-    *,
-    partitions: int,
-    async_moves: bool = True,
-) -> LevelGraph:
+def level0(g: GraphData, k: np.ndarray | None = None, *, partitions: int) -> LevelGraph:
     """Build the hierarchy's level 0 from an input graph in one Spark job (selfw=0, sq=k²).
 
-    The level's bound is ``driver_rows(async_moves)``, for the kernel that
-    will run its passes; every coarser level inherits it. A synchronous
-    level 0 with fewer rows (``g.m_directed``, known without a job for a
-    ``to_spark`` graph) is held in the driver: the job collects the input as
-    Arrow batches (:func:`_collected_blocks`). An async level 0 stays in
-    Spark at any size: the async bound's margin over its cost-model
-    crossover pays for a coarse child's compress shuffle, and lj-lite's
-    418k-row async level 0 held in the driver made ``lj-cc-async`` slower
-    (2.71–2.79 → 3.12–3.26 s over 2 seeds).
+    A level 0 with fewer than ``DRIVER_ROWS`` rows (``g.m_directed``, known
+    without a job for a ``to_spark`` graph) is held in the driver: the job
+    collects the input as Arrow batches (:func:`_collected_blocks`).
 
     The caller's edges are only read; their storage level is left alone.
     Edges that already have ``partitions`` partitions are taken to be
@@ -447,10 +424,9 @@ def level0(
     Otherwise the rows are routed with ``ops.partition_of``. ``k=None`` takes
     the weighted degrees as vertex weights (modularity's ``k_v``).
     """
-    bound = driver_rows(async_moves)
     edges = g.edges.select([F.col(f.name).cast(f.dataType) for f in EDGE_SCHEMA.fields])
-    if not async_moves and g.m_directed < bound:
-        return base_level(_collected_blocks(edges, partitions), g.n, k, driver_rows=bound)
+    if g.m_directed < DRIVER_ROWS:
+        return base_level(_collected_blocks(edges, partitions), g.n, k)
     # The JVM-internal Dataset.toArrowBatchRdd hands each partition to Python
     # as Arrow batches in a single hop: cheaper than rows, and it runs in the
     # same Python worker pool as every later pass (a mapInArrow hop would
@@ -464,7 +440,7 @@ def level0(
         ).coalesce(task_count(sc, partitions))
     else:
         blocks = regroup(cols.flatMap(lambda c: route(*c, partitions)), partitions, make_block)
-    return base_level(blocks, g.n, k, partitions, driver_rows=bound)
+    return base_level(blocks, g.n, k, partitions)
 
 
 def _collected_blocks(edges: DataFrame, partitions: int) -> list[Block]:
@@ -492,21 +468,17 @@ def base_level(
     n: int,
     k: np.ndarray | None = None,
     partitions: int = 1,
-    *,
-    driver_rows: int = 0,
 ) -> LevelGraph:
     """The uncoarsened level over ``blocks`` (selfw=0, sq=k²).
 
     ``k=None`` takes the weighted degrees as vertex weights. A list of
     blocks makes a driver level, on which no step launches a Spark job; a
-    block RDD stays in Spark. ``driver_rows`` is the bound its children
-    inherit (:meth:`LevelGraph.children_in_driver`).
+    block RDD stays in Spark.
     """
     blocks, m, deg, _ = _materialize(blocks, n, partitions)
     k = (deg if k is None else k).astype("float64")
     return LevelGraph(
-        blocks=blocks, n=n, k=k, sq=k**2, selfw=np.zeros(n), deg=deg, m_directed=m,
-        driver_rows=driver_rows,
+        blocks=blocks, n=n, k=k, sq=k**2, selfw=np.zeros(n), deg=deg, m_directed=m
     )
 
 
@@ -577,8 +549,8 @@ def compress(
 
     Each block is relabeled by the broadcast clustering and pre-aggregated
     locally, into at most min(rows, n_c²) rows. When the child is sure to be
-    a driver level (:meth:`LevelGraph.children_in_driver`: fewer than the
-    level's ``driver_rows`` in the parent, or n_c·(n_c − 1) below it), those
+    a driver level (:meth:`LevelGraph.children_in_driver`: fewer than
+    ``DRIVER_ROWS`` in the parent, or n_c·(n_c − 1) below it), those
     pieces are collected (one job without a shuffle on a Spark level, none
     on a driver level, at most min(m, P·n_c²) rows) and the child's blocks
     are built in the driver, from the pieces in logical-partition order.
@@ -587,7 +559,7 @@ def compress(
     on whole arrays) and re-aggregated into the child's blocks, whose self
     loops go to ``selfw`` — the dataflow analog of the paper's
     work-efficient parallel semisort compression. The same job brings a
-    child with fewer than ``driver_rows`` rows to the driver.
+    child with fewer than ``DRIVER_ROWS`` rows to the driver.
     """
 
     def pieces(b: Block, a: np.ndarray) -> tuple[int, list[tuple[int, tuple[np.ndarray, ...]]]]:

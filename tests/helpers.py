@@ -138,15 +138,16 @@ def numpy_local_moves(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Immediate best moves of the block rows in ``order``, one numpy call per vertex.
 
-    The reference for ``kernel.local_moves``. Candidate clusters come from
-    ``np.unique`` (ascending), so ``argmax`` breaks ties toward the smallest
-    id; detaching into ``U + v`` wins only when strictly better. ``a`` and
-    ``K`` are copied, not changed.
+    The reference for the compiled ``kernel.local_moves``. Candidate
+    clusters come from ``np.unique`` (ascending), so ``argmax`` breaks ties
+    toward the smallest id; detaching into ``U + v`` wins only when strictly better. ``a`` and
+    ``K`` are copied, not changed; ``K`` may stop at label ``U`` or cover
+    labels up to ``U + n``.
     """
     verts, indptr, dst_s, w_s = b.verts, b.indptr, b.dst, b.w
     local_a = a.copy()
     local_K = np.zeros(U + n + 1)
-    local_K[:U] = K
+    local_K[: len(K)] = K
     mv_v: list[int] = []
     mv_c: list[int] = []
     mv_d: list[float] = []

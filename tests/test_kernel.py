@@ -1,11 +1,12 @@
-"""The move kernels, checked move for move against the code they replaced: the
-shared local-move kernel (core.kernel.local_moves) against the numpy-per-vertex
+"""The move kernels, checked move for move against their references: the
+compiled local-move kernel (core.kernel.local_moves) against the numpy-per-vertex
 loop (tests.helpers.numpy_local_moves), and the synchronous block kernel
 (par_louvain._sync_block_moves) against its lexsort selection
 (tests.helpers.lexsort_sync_block_moves)."""
 import numpy as np
 import pytest
 
+from repro.core import kernel
 from repro.core.kernel import local_moves
 from repro.core.par_louvain import _async_block_moves, _sync_block_moves
 from repro.core.state import Block, cluster_weights, densify, make_block, route
@@ -42,7 +43,7 @@ def _assert_same(got, exp):
 
 
 class TestAsyncBlockPass:
-    """``_async_block_moves`` (list kernel) against the numpy reference pass."""
+    """``_async_block_moves`` (compiled kernel) against the numpy reference pass."""
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("clusters", [5, 40, 120])
@@ -86,7 +87,110 @@ class TestAsyncBlockPass:
             _assert_same(got, numpy_async_block_moves(*args, sample=False))
 
 
+def _by_vertex(b: Block, n: int) -> Block:
+    """``b`` with one row range per vertex id 0..n-1, so vertices without rows have empty ones."""
+    indptr = np.searchsorted(b.src, np.arange(n + 1)).astype("int64")
+    return b._replace(verts=np.arange(n), indptr=indptr)
+
+
 class TestLocalMoves:
+    """The compiled ``kernel.local_moves`` against the numpy reference, move for
+    move, and its in-place state against the moves replayed in order."""
+
+    @staticmethod
+    def _check(order, b, a, K, k, lam, U, tol, n):
+        """Run the kernel on copies; return its moves after checking them and its state."""
+        order = np.asarray(order, dtype="int64")
+        exp = numpy_local_moves(order, b, a, K, k, lam, U, tol, n)
+        got_a = a.copy()
+        got_K = np.zeros(U + n + 1)
+        got_K[: len(K)] = K
+        exp_K = got_K.copy()
+        got = local_moves(order, b.indptr, b.dst, b.w, b.verts, got_a, got_K, k, lam, U, tol)
+        _assert_same(got, exp)
+        exp_a = a.copy()
+        for v, c in zip(*exp[:2]):
+            exp_K[exp_a[v]] -= k[v]
+            exp_K[c] += k[v]
+            exp_a[v] = c
+        np.testing.assert_array_equal(got_a, exp_a)
+        np.testing.assert_array_equal(got_K, exp_K)
+        return got
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("unit", [True, False], ids=["unit", "fractional"])
+    def test_random_blocks(self, seed, unit):
+        n = 120
+        a, U, K, k = _state(seed, n, 30, unit_k=unit)
+        order_rng = np.random.default_rng(seed + 3)
+        for b in _blocks(seed, n, 400, unit=unit):
+            got = self._check(order_rng.permutation(len(b.verts)), b, a, K, k, 0.4, U, 1e-9, n)
+            assert len(got[0]) > 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_partial_random_orders(self, seed):
+        """Orders that visit a random part of the rows, some of them twice."""
+        n = 100
+        a, U, K, k = _state(seed, n, 20, unit_k=False)
+        order_rng = np.random.default_rng(seed + 5)
+        for b in _blocks(seed, n, 350, unit=False):
+            rows = len(b.verts)
+            part = order_rng.choice(rows, size=rows // 3, replace=False)
+            twice = np.concatenate([part, order_rng.choice(rows, size=rows // 4)])
+            for order in (part, twice, part[:1], part[:0]):
+                self._check(order, b, a, K, k, 0.3, U, 1e-9, n)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_large_lambda_detaches(self, seed):
+        """Few heavy clusters at λ = 3: vertices leave them for fresh singletons U + v."""
+        n = 120
+        a, U, K, k = _state(seed, n, 3, unit_k=seed % 2 == 0)
+        for b in _blocks(seed, n, 300, unit=seed % 2 == 0):
+            got = self._check(np.arange(len(b.verts)), b, a, K, k, 3.0, U, 1e-9, n)
+            assert (got[1] >= U).any()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_labels_at_least_u(self, seed):
+        """Labels in the pre-densify space, up to U + n, as after detaches."""
+        n = 100
+        rng = np.random.default_rng(seed + 11)
+        a, U, _, k = _state(seed, n, 10, unit_k=True)
+        a = np.where(rng.random(n) < 0.3, U + np.arange(n), a)
+        K = np.bincount(a, weights=k, minlength=U + n + 1)
+        moved_to_high = False
+        for b in _blocks(seed, n, 350, unit=True):
+            got = self._check(rng.permutation(len(b.verts)), b, a, K, k, 0.5, U, 1e-9, n)
+            moved_to_high |= bool((got[1] >= U).any())
+        assert moved_to_high
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_rowless_vertices(self, seed):
+        """Row ranges by vertex id (as SEQ's sweeps pass them): the singletons
+        without rows are visited and make no move."""
+        n = 150
+        rng = np.random.default_rng(seed + 13)
+        (b,) = _blocks(seed, n, 60, unit=False, partitions=1)
+        b = _by_vertex(b, n)
+        rowless = np.flatnonzero(np.diff(b.indptr) == 0)
+        assert len(rowless) > 0
+        a, U = densify(rng.integers(0, 40, size=n))
+        a[rowless] = U + np.arange(len(rowless))  # each its own singleton
+        a, U = densify(a)
+        k = rng.uniform(0.5, 2.0, size=n)
+        got = self._check(rng.permutation(n), b, a, cluster_weights(a, k, U), k, 0.2, U, 1e-9, n)
+        assert len(got[0]) > 0 and not np.isin(got[0], rowless).any()
+
+    def test_delta_exactly_at_tolerance(self):
+        """A move is made only when its delta exceeds ``tol`` strictly: vertex 0
+        gains exactly 1 − 0.1 = 0.9 by joining vertex 1."""
+        b = make_block(np.array([0, 1]), np.array([1, 0]), np.ones(2))
+        a = np.arange(2)
+        k = np.ones(2)
+        K = cluster_weights(a, k, 2)
+        assert [len(x) for x in self._check([0], b, a, K, k, 0.1, 2, 0.9, 2)] == [0, 0, 0]
+        got = self._check([0], b, a, K, k, 0.1, 2, np.nextafter(0.9, 0.0), 2)
+        assert got[0].tolist() == [0] and got[2].tolist() == [0.9]
+
     def test_label_at_least_u_ties_with_detach(self):
         """Vertex 3 detaches into label U+3 = 5; vertex 1 then gains exactly as
         much by joining 5 as by detaching into U+1 = 3. Detach must be strictly
@@ -100,23 +204,53 @@ class TestLocalMoves:
         k = np.ones(4)
         U, lam, n = 2, 0.5, 4
         K = cluster_weights(a, k, U)
-        order = [3, 1]  # rows of vertices 3 and 1 (verts = 0..3)
-        exp = numpy_local_moves(order, b, a, K, k, lam, U, 1e-9, n)
-        local_K = K.tolist() + [0.0] * (n + 1)
-        got = local_moves(
-            order, b.indptr.tolist(), b.dst.tolist(), b.w.tolist(), b.verts.tolist(),
-            a.tolist(), local_K, k.tolist(), lam, U, 1e-9,
-        )
-        _assert_same([np.asarray(x) for x in got], exp)
-        assert got == ([3, 1], [5, 5], [0.25, 0.25])
+        got = self._check([3, 1], b, a, K, k, lam, U, 1e-9, n)  # rows of vertices 3 and 1
+        assert [x.tolist() for x in got] == [[3, 1], [5, 5], [0.25, 0.25]]
 
     def test_updates_state_in_place_and_skips_rowless_vertices(self):
-        # Vertex 2 has no rows: it is visited but can neither move nor detach.
-        indptr, dst, w = [0, 1, 2, 2], [1, 0], [1.0, 1.0]
-        a, K = [0, 1, 2], [1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0]
-        got = local_moves([2, 0, 1], indptr, dst, w, range(3), a, K, [1.0] * 3, 0.1, 3, 1e-9)
-        assert got == ([0], [1], [0.9])
-        assert a == [1, 1, 2] and K[:3] == [0.0, 2.0, 1.0]
+        # Vertex 2 has no rows: it is visited but can neither move nor detach,
+        # although it shares a cluster.
+        indptr, dst, w = np.array([0, 1, 2, 2]), np.array([1, 0]), np.ones(2)
+        a, K = np.array([0, 1, 1]), np.array([1.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        got = local_moves(
+            np.array([2, 0, 1]), indptr, dst, w, np.arange(3), a, K, np.ones(3), 0.1, 3, 1e-9
+        )
+        assert [x.tolist() for x in got] == [[0], [1], [1.0 - 0.1 * 2.0]]
+        assert a.tolist() == [1, 1, 1] and K[:3].tolist() == [0.0, 3.0, 0.0]
+
+    def test_rejects_out_of_range_rows_and_labels(self):
+        indptr, dst, w, verts = np.array([0, 1, 2]), np.array([1, 0]), np.ones(2), np.arange(2)
+        a, K, k = np.arange(2), np.ones(5), np.ones(2)
+        with pytest.raises(IndexError):
+            local_moves(np.array([2]), indptr, dst, w, verts, a, K, k, 0.1, 2, 1e-9)
+        with pytest.raises(IndexError):
+            local_moves(np.array([0]), indptr, np.array([5, 0]), w, verts, a, K, k, 0.1, 2, 1e-9)
+        with pytest.raises(ValueError):
+            local_moves(np.array([0]), indptr[:2], dst, w, verts, a, K, k, 0.1, 2, 1e-9)
+
+
+class TestBuild:
+    """``kernel._load`` builds a source once into its ``__pycache__`` and reports a failed build."""
+
+    def test_builds_once_and_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        source = tmp_path / "kernel.c"
+        source.write_bytes(kernel._SOURCE.read_bytes())
+        monkeypatch.setattr(kernel, "_SOURCE", source)
+        kernel._load()
+        built = list((tmp_path / "__pycache__").iterdir())
+        assert len(built) == 1 and built[0].suffix == ".so" and not built[0].name.startswith(".")
+        mtime = built[0].stat().st_mtime_ns
+        kernel._load()
+        assert list((tmp_path / "__pycache__").iterdir()) == built
+        assert built[0].stat().st_mtime_ns == mtime
+
+    def test_failed_build_raises_import_error_with_compiler_output(self, tmp_path, monkeypatch):
+        source = tmp_path / "kernel.c"
+        source.write_text("int local_moves(void) { return not_declared; }\n")
+        monkeypatch.setattr(kernel, "_SOURCE", source)
+        with pytest.raises(ImportError, match="not_declared"):
+            kernel._load()
+        assert list((tmp_path / "__pycache__").iterdir()) == []
 
 
 class TestSyncBlockPass:

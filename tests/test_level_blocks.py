@@ -176,11 +176,10 @@ class TestJobBudget:
         assert counter.tasks("cc_objective") == [tasks]
 
     def test_driver_levels_launch_no_jobs(self, spark, small_graph, monkeypatch):
-        """An async level 0 stays in Spark (one job of S tasks per step); the
-        coarse levels, far below DRIVER_ROWS, are held in the driver and launch
-        no job."""
+        """An async level 0 below DRIVER_ROWS costs one level0 job (the Arrow
+        collect of the input); it and the coarse levels are held in the driver,
+        and their passes, compress and objective launch no job."""
         partitions = 8
-        tasks = min(partitions, spark.sparkContext.defaultParallelism)
         gd = to_spark(spark, small_graph, partitions=partitions)
         counter = _JobCounter(spark, monkeypatch)
         counter.run("input", lambda: gd.edges.cache().count())
@@ -189,22 +188,16 @@ class TestJobBudget:
         cfg = CCConfig(resolution=0.3, num_iter=3, max_levels=3, seed=12, partitions=partitions)
         _, stats = parallel_cc(gd, cfg)
         gd.edges.unpersist()
-        assert [l.driver for l in stats.levels] == [False] + [True] * (len(stats.levels) - 1)
+        assert all(l.driver for l in stats.levels)
         assert len(stats.levels) == 3
+        assert stats.tasks == 0
         assert counter.jobs("level0") == [1]
         for name in ("_move_pass", "compress"):
-            on_driver = counter.on_driver[name]
-            jobs = counter.jobs(name)
-            assert {j for j, d in zip(jobs, on_driver) if d} == {0}
-            assert {j for j, d in zip(jobs, on_driver) if not d} == {1}
-        passes = zip(counter.tasks("_move_pass"), counter.on_driver["_move_pass"])
-        assert {t for t, d in passes if not d} == {tasks}
-        # Level 0 is below DRIVER_ROWS too: its compress collects the
-        # pre-aggregated pieces in one job without a shuffle.
-        assert counter.on_driver["compress"] == [False, True]
-        assert counter.tasks("compress")[0] == tasks
-        assert counter.jobs("cc_objective") == [1]
-        assert counter.tasks("cc_objective") == [tasks]
+            assert set(counter.on_driver[name]) == {True}
+            assert set(counter.jobs(name)) == {0}
+        assert counter.on_driver["compress"] == [True, True]
+        assert counter.on_driver["cc_objective"] == [True]
+        assert counter.jobs("cc_objective") == [0]
 
     def test_small_child_of_large_level(self, spark, small_graph, monkeypatch):
         """A level 0 of DRIVER_ROWS rows is compressed by the shuffle job, which
@@ -281,7 +274,7 @@ class TestJobBudget:
         return counter, stats
 
     def test_sync_level0_in_driver(self, spark, small_graph, monkeypatch):
-        """A synchronous level 0 below its bound costs one level0 job (the Arrow
+        """A synchronous level 0 below DRIVER_ROWS costs one level0 job (the Arrow
         collect of the input); its passes, compress and objective, and every
         level below it, run in the driver with no job."""
         counter, stats = self._count_steps(spark, small_graph, monkeypatch, self._SYNC)
@@ -308,25 +301,26 @@ class TestJobBudget:
         assert counter.jobs("cc_objective") == [1]
 
     def test_sync_bound_is_inherited(self, spark, small_graph, monkeypatch):
-        """A synchronous level 0 of at least 4·DRIVER_ROWS rows stays in Spark;
-        its child, of DRIVER_ROWS or more rows, is held in the driver under the
-        sync kernel's bound that it inherits, with the same outputs."""
+        """A synchronous level 0 of DRIVER_ROWS rows stays in Spark; its child,
+        below the same bound, is held in the driver, with the same outputs."""
         gd = to_spark(spark, small_graph, partitions=self._SYNC.partitions)
         expected, expected_stats = parallel_cc(gd, self._SYNC)
-        monkeypatch.setattr(state, "DRIVER_ROWS", expected_stats.levels[0].m_directed // 4)
+        monkeypatch.setattr(state, "DRIVER_ROWS", expected_stats.levels[0].m_directed)
         assign, stats = parallel_cc(gd, self._SYNC)
-        assert stats.levels[0].m_directed >= state.driver_rows(False)
+        assert stats.levels[0].m_directed >= state.DRIVER_ROWS
         assert not stats.levels[0].driver
-        assert state.DRIVER_ROWS <= stats.levels[1].m_directed < state.driver_rows(False)
+        assert stats.levels[1].m_directed < state.DRIVER_ROWS
         assert all(l.driver for l in stats.levels[1:])
         np.testing.assert_array_equal(assign, expected)
         assert stats.objective == expected_stats.objective
 
     def test_async_level0_stays_in_spark(self, spark, small_graph, monkeypatch):
-        """The async kernel's level 0 of the same graph stays in Spark: one job
-        per level-0 pass."""
+        """An async level 0 of DRIVER_ROWS rows stays in Spark, as a synchronous
+        one does: one job per level-0 pass."""
         cfg = self._SYNC.with_(async_moves=True)
+        monkeypatch.setattr(state, "DRIVER_ROWS", 2 * len(small_graph.edges))
         counter, stats = self._count_steps(spark, small_graph, monkeypatch, cfg)
+        assert stats.levels[0].m_directed == state.DRIVER_ROWS
         assert not stats.levels[0].driver
         assert stats.tasks == min(cfg.partitions, spark.sparkContext.defaultParallelism)
         assert counter.jobs("level0") == [1]
@@ -363,17 +357,19 @@ class TestJobBudget:
 
 
 class TestCollectedLevel0:
-    """A synchronous level 0 collected into the driver holds the blocks that
-    the Spark path builds from the same input."""
+    """A level 0 collected into the driver holds the blocks that the Spark
+    path builds from the same input."""
 
     @pytest.mark.parametrize("partitions", [1, 3, 8])
-    def test_blocks_equal_spark_blocks(self, spark, small_graph, partitions):
+    def test_blocks_equal_spark_blocks(self, spark, small_graph, monkeypatch, partitions):
         w = np.random.default_rng(partitions).uniform(0.2, 2.0, len(small_graph.edges))
         g = GenGraph(name="fractional", n=small_graph.n, edges=small_graph.edges.assign(w=w))
         gd = to_spark(spark, g, partitions=partitions)
         assert gd.edges.rdd.getNumPartitions() == partitions
-        got = state.level0(gd, None, partitions=partitions, async_moves=False)
-        exp = state.level0(gd, None, partitions=partitions, async_moves=True)
+        got = state.level0(gd, None, partitions=partitions)
+        with monkeypatch.context() as m:
+            m.setattr(state, "DRIVER_ROWS", 0)
+            exp = state.level0(gd, None, partitions=partitions)
         try:
             assert got.driver and not exp.driver
             exp_blocks = sorted(exp.blocks.collect(), key=lambda b: b.part)
@@ -389,7 +385,6 @@ class TestCollectedLevel0:
         for name in ("k", "sq", "selfw", "deg"):
             np.testing.assert_array_equal(getattr(got, name), getattr(exp, name))
         assert got.m_directed == exp.m_directed == 2 * len(g.edges)
-        assert got.driver_rows == 4 * exp.driver_rows == 4 * state.DRIVER_ROWS
 
 
 class TestMaterialize:

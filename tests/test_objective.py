@@ -4,6 +4,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core import state
 from repro.core.seq_louvain import build_csr, compress_csr
 from repro.core.state import cc_objective, compress, densify, flatten, level0
 from repro.graphs.gen import planted_partition
@@ -113,10 +114,12 @@ class TestCompressInvariance:
         )
 
     @pytest.mark.parametrize("lam", [0.1, 0.8])
-    def test_spark_compress_matches_csr(self, spark, lam):
+    def test_spark_compress_matches_csr(self, spark, monkeypatch, lam):
         """Compressing a P=4 Spark level and SEQ's one-block driver level both
         match the pandas-groupby reference: k, sq, selfw, rows and objective."""
         g = planted_partition(150, avg_deg=6, mixing=0.3, seed=6)
+        # Level 0 has DRIVER_ROWS rows, so it stays in Spark; its children have fewer.
+        monkeypatch.setattr(state, "DRIVER_ROWS", 2 * len(g.edges))
         dense, nc = densify(random_assign(g.n, 9, 5))
         u, v, w = (g.edges[c].to_numpy() for c in ("u", "v", "w"))
         ones = np.ones(g.n)

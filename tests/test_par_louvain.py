@@ -254,9 +254,8 @@ class TestPinnedOutputs:
     Unit edge weights make every edge-weight sum exact, so the values do not
     depend on the order in which a partition's rows are summed. Each case
     runs twice against the same values: with the default ``DRIVER_ROWS``,
-    where every coarse level of this graph, and a synchronous level 0, is
-    held in the driver, and with ``DRIVER_ROWS = 0``, where every level
-    stays in Spark.
+    where every level of this graph is held in the driver, and with
+    ``DRIVER_ROWS = 0``, where every level stays in Spark.
     """
 
     def _check(self, spark, graph, monkeypatch, input_partitions, case, spark_levels):
@@ -265,11 +264,10 @@ class TestPinnedOutputs:
             monkeypatch.setattr(state, "DRIVER_ROWS", 0)
         gd = to_spark(spark, graph, partitions=input_partitions)
         assign, stats = parallel_cc(gd, cfg, compress_mode=compress_mode)
-        # A synchronous level 0 is below its kernel's bound here, so it is held
-        # in the driver unless every level is in Spark; an async one stays in Spark.
+        # Level 0 is below DRIVER_ROWS here, so every level is held in the
+        # driver unless every level is in Spark.
         assert len(stats.levels) > 1
-        assert stats.levels[0].driver == (not cfg.async_moves and not spark_levels)
-        assert all(l.driver != spark_levels for l in stats.levels[1:])
+        assert all(l.driver != spark_levels for l in stats.levels)
         assert _assign_hash(assign) == expected_hash
         assert stats.reported_objective == expected_objective
         return stats
@@ -331,9 +329,11 @@ class TestNetworkxModularity:
         "graph, gamma", [(karate, 1.0), (lambda: lite_graph("amazon-lite"), 0.8)],
         ids=["karate", "amazon-lite"],
     )
-    def test_q_matches_networkx(self, spark, graph, gamma, partitions):
+    def test_q_matches_networkx(self, spark, monkeypatch, graph, gamma, partitions):
         if partitions > 2 and spark.sparkContext.defaultParallelism >= partitions:
             pytest.skip("defaultParallelism >= P: every block gets its own task")
+        # Every level in Spark, so that level 0's P blocks run in Spark tasks.
+        monkeypatch.setattr(state, "DRIVER_ROWS", 0)
         g = graph()
         cfg = CCConfig(
             resolution=gamma, objective="modularity", num_iter=3, max_levels=3, seed=9,

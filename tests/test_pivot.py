@@ -7,6 +7,7 @@ import pytest
 
 from repro.baselines import pivot
 from repro.baselines.pivot import kwikcluster, parallel_pivot
+from repro.core import state
 from repro.core.state import LevelGraph
 from repro.graphs.gen import GenGraph, lite_graph, planted_partition
 from repro.graphs.ops import to_spark
@@ -105,9 +106,10 @@ def _persisted_ids(spark) -> set:
 
 
 class TestStorageAndJobs:
-    """``parallel_pivot`` persists the input's level-0 blocks for its rounds: it
-    releases them however it returns, and runs one job to build them plus one
-    block job per round step."""
+    """With its level 0 in Spark (``DRIVER_ROWS = 0``), ``parallel_pivot``
+    persists the input's level-0 blocks for its rounds: it releases them
+    however it returns, and runs one job to build them plus one block job per
+    round step."""
 
     @pytest.fixture(autouse=True)
     def _no_storage_left_by_earlier_tests(self, spark):
@@ -115,6 +117,10 @@ class TestStorageAndJobs:
         # collects its owner, which could fall inside a call counted here.
         for rdd in spark.sparkContext._jsc.getPersistentRDDs().values():
             rdd.unpersist()
+
+    @pytest.fixture(autouse=True)
+    def _level0_in_spark(self, monkeypatch):
+        monkeypatch.setattr(state, "DRIVER_ROWS", 0)
 
     @pytest.fixture(scope="class")
     def gd(self, spark):
@@ -150,6 +156,18 @@ class TestStorageAndJobs:
         counter = _JobCounter(spark, monkeypatch)
         _, rounds = counter.run("pivot", parallel_pivot, gd, variant=variant, seed=7)
         assert counter.jobs("pivot") == [1 + jobs_per_round * rounds]
+
+    @pytest.mark.parametrize("variant", ["c4", "wild"])
+    def test_driver_level_runs_one_job(self, spark, gd, monkeypatch, variant):
+        """Below the default DRIVER_ROWS, level 0 is collected into the driver
+        in one job, and the rounds run none; the outputs do not change."""
+        expected = parallel_pivot(gd, variant=variant, seed=7)
+        monkeypatch.undo()
+        counter = _JobCounter(spark, monkeypatch)
+        got = counter.run("pivot", parallel_pivot, gd, variant=variant, seed=7)
+        assert counter.jobs("pivot") == [1]
+        np.testing.assert_array_equal(got[0], expected[0])
+        assert got[1] == expected[1]
 
     @pytest.mark.parametrize("partitions", [3, 8])
     @pytest.mark.parametrize("variant", ["c4", "wild"])
