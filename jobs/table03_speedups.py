@@ -3,7 +3,9 @@
 Runs PAR-CC/PAR-MOD against SEQ-CC/SEQ-MOD (and SEQ^CON on the small
 graphs) for each resolution and reports wall-clock speedup, the
 objective ratio PAR/SEQ, and the round-count ratio — the three numbers
-Figures 4 and 5 plot.
+Figures 4 and 5 plot. Each time is an engine's ``total_time`` (level-0
+build to final objective) in a warm call, made after one untimed call of
+the same engine and settings.
 
 Substrate note (DESIGN.md §7): Spark's fixed cost of J ≈ 0.12 s per
 iteration job (4 tasks on 4 cores), and the driver placement of every
@@ -21,6 +23,11 @@ from repro.eval.harness import table
 from repro.graphs.gen import lite_suite
 from repro.graphs.ops import to_spark
 
+try:
+    from ._common import warm
+except ImportError:  # run as a script: spark-submit jobs/table03_speedups.py
+    from _common import warm
+
 
 def run(spark, quick: bool = False):
     graphs = ["amazon-lite", "lj-big"] if quick else ["amazon-lite", "dblp-lite", "lj-lite", "lj-big"]
@@ -37,8 +44,8 @@ def run(spark, quick: bool = False):
                 cfg = CCConfig(
                     resolution=res, objective=objective, num_iter=10, seed=2, partitions=8
                 )
-                _, s_par = parallel_cc(gd, cfg)
-                _, s_seq = sequential_cc(g, cfg)
+                (_, s_par), _ = warm(lambda: parallel_cc(gd, cfg))
+                (_, s_seq), _ = warm(lambda: sequential_cc(g, cfg))
                 row = {
                     "graph": name,
                     "algo": objective,
@@ -52,7 +59,7 @@ def run(spark, quick: bool = False):
                     "rounds_ratio_par_over_seq": s_par.total_rounds / max(1, s_seq.total_rounds),
                 }
                 if small:
-                    _, s_con = sequential_cc(g, cfg.with_(to_convergence=True))
+                    (_, s_con), _ = warm(lambda: sequential_cc(g, cfg.with_(to_convergence=True)))
                     row["seqcon_time_s"] = s_con.total_time
                     row["speedup_par_over_seqcon"] = s_con.total_time / s_par.total_time
                 rows.append(row)

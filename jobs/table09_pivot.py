@@ -9,8 +9,6 @@ of a warm call, made after one untimed call of the same algorithm.
 """
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.baselines.pivot import kwikcluster, parallel_pivot
@@ -23,13 +21,10 @@ from repro.eval.quality import avg_precision_recall
 from repro.graphs.gen import lite_suite
 from repro.graphs.ops import to_spark
 
-
-def _warm(fn):
-    """``fn()`` after one untimed warm-up call: (its result, seconds)."""
-    fn()
-    t0 = time.perf_counter()
-    out = fn()
-    return out, time.perf_counter() - t0
+try:
+    from ._common import warm
+except ImportError:  # run as a script: spark-submit jobs/table09_pivot.py
+    from _common import warm
 
 
 def run(spark, quick: bool = False):
@@ -56,15 +51,14 @@ def run(spark, quick: bool = False):
                 }
             )
 
-        # The first call of a Spark algorithm also pays for worker start-up.
-        labels, t = _warm(lambda: kwikcluster(g, seed=8))
+        labels, t = warm(lambda: kwikcluster(g, seed=8))
         record("kwikcluster", labels, t)
         for variant in ("c4", "wild"):
-            (labels, _), t = _warm(lambda: parallel_pivot(gd, variant=variant, seed=8))
+            (labels, _), t = warm(lambda: parallel_pivot(gd, variant=variant, seed=8))
             record(variant, labels, t)
         for lam in (0.5, 0.85):
             cfg = CCConfig(resolution=lam, num_iter=10, seed=8, partitions=8)
-            (assign, stats), _ = _warm(lambda: parallel_cc(gd, cfg))
+            (assign, stats), _ = warm(lambda: parallel_cc(gd, cfg))
             record(f"par-cc@{lam}", assign, stats.total_time)
         gd.edges.unpersist()
     return table(rows, title="T9: pivot baselines vs PAR-CC (Appendix C.1)")

@@ -12,18 +12,19 @@
 #define NO_MEMORY -2
 
 /* Visit the rows listed in order[0..n_order); move each vertex to its best
- * cluster and update a[] and K[] at once. Row i holds the out-edges
- * dst/w[indptr[i]..indptr[i+1]) of vertex verts[i]. a and k have n entries,
- * K has n_labels. Writes the moves to mv_v/mv_c/mv_d and returns their
- * count, or BAD_INDEX if an index is out of range (a and K are then partly
- * updated), or NO_MEMORY. */
+ * cluster, and when apply is nonzero update a[] and K[] at once. Row i holds
+ * the out-edges dst/w[indptr[i]..indptr[i+1]) of vertex verts[i]. a and k
+ * have n entries, K has n_labels. With apply zero nothing is written to a
+ * or K, and a detach label U + v may lie past K. Writes the moves to
+ * mv_v/mv_c/mv_d and returns their count, or BAD_INDEX if an index is out
+ * of range (a and K are then partly updated), or NO_MEMORY. */
 int64_t local_moves(
     const int64_t *order, int64_t n_order,
     const int64_t *indptr, const int64_t *verts, int64_t n_rows,
     const int64_t *dst, const double *w, int64_t n_edges,
     int64_t *a, const double *k, int64_t n,
     double *K, int64_t n_labels,
-    double lam, int64_t U, double tol,
+    double lam, int64_t U, double tol, int64_t apply,
     int64_t *mv_v, int64_t *mv_c, double *mv_d)
 {
     /* Weight from the current vertex to each neighbouring cluster; seen[c]
@@ -85,11 +86,13 @@ int64_t local_moves(
             best_d = -base;
         }
         if (best_d > tol) {
-            if (best_c < 0 || best_c >= n_labels)
-                goto bad;
-            K[cv] -= kv;
-            K[best_c] += kv;
-            a[v] = best_c;
+            if (apply) {
+                if (best_c < 0 || best_c >= n_labels)
+                    goto bad;
+                K[cv] -= kv;
+                K[best_c] += kv;
+                a[v] = best_c;
+            }
             mv_v[moves] = v;
             mv_c[moves] = best_c;
             mv_d[moves] = best_d;

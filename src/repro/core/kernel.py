@@ -1,13 +1,14 @@
-"""The per-vertex local-move kernel shared by SEQ-CC and PAR-CC's async mode.
+"""The per-vertex local-move kernel shared by SEQ-CC and both PAR-CC modes.
 
-``local_moves`` visits vertices one at a time and applies each improving
-move to its assignment and cluster-weight state at once: Algorithm 2's
-sweep when the state is the whole graph's exact ``K`` (``seq_louvain``),
-and one asynchronous block pass when it is a block's stale copy
-(``par_louvain``). The loop is one C function (``kernel.c``), reached
-through ctypes on numpy arrays: a vertex has few rows, so the loop is
-bound by per-vertex work, which costs about 0.4 µs per row in Python and
-0.015 µs in C.
+``local_moves`` visits vertices one at a time and finds each one's best
+move. With ``apply`` it applies each improving move to its assignment and
+cluster-weight state at once: Algorithm 2's sweep when the state is the
+whole graph's exact ``K`` (``seq_louvain``), and one asynchronous block
+pass when it is a block's stale copy (``par_louvain``). Without it every
+vertex is scored against the same snapshot, one synchronous block pass.
+The loop is one C function (``kernel.c``), reached through ctypes on numpy
+arrays: a vertex has few rows, so the loop is bound by per-vertex work,
+which costs about 0.4 µs per row in Python and 0.015 µs in C.
 
 Importing this module builds ``kernel.c`` with the installed ``cc``
 (``-O2 -ffp-contract=off``, so no fused multiply-add changes a rounding)
@@ -64,13 +65,14 @@ _N = ctypes.c_int64
 
 _kernel = _load().local_moves
 _kernel.restype = ctypes.c_int64
+# a and K are written only when apply is set; local_moves checks them then.
 _kernel.argtypes = [
     _IDS, _N,  # order
     _IDS, _IDS, _N,  # indptr, verts
     _IDS, _WEIGHTS, _N,  # dst, w
-    _OUT_IDS, _WEIGHTS, _N,  # a, k
-    _OUT_WEIGHTS, _N,  # K
-    ctypes.c_double, _N, ctypes.c_double,  # lam, U, tol
+    _IDS, _WEIGHTS, _N,  # a, k
+    _WEIGHTS, _N,  # K
+    ctypes.c_double, _N, ctypes.c_double, _N,  # lam, U, tol, apply
     _OUT_IDS, _OUT_IDS, _OUT_WEIGHTS,  # moves
 ]
 
@@ -87,6 +89,7 @@ def local_moves(
     lam: float,
     U: int,
     tol: float,
+    apply: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Best immediate move of each vertex of ``order``, applied to ``a`` and ``K`` in place.
 
@@ -102,6 +105,10 @@ def local_moves(
     singleton made earlier in the pass). Only moves whose delta exceeds
     ``tol`` are made.
 
+    With ``apply=False`` no move is applied: ``a`` and ``K`` are only read
+    (they may be read-only, and ``K`` may stop at label ``U``), so every
+    vertex is scored against the same snapshot.
+
     Returns the moved vertices, their new labels and their deltas, in
     visiting order.
     """
@@ -109,6 +116,13 @@ def local_moves(
         np.ascontiguousarray(x, dtype=np.int64) for x in (order, indptr, dst, verts)
     )
     w, k = (np.ascontiguousarray(x, dtype=np.float64) for x in (w, k))
+    if apply:
+        # Updated in place, so they are taken as they are: a copy would drop the moves.
+        _OUT_IDS.from_param(a)
+        _OUT_WEIGHTS.from_param(K)
+    else:
+        a = np.ascontiguousarray(a, dtype=np.int64)
+        K = np.ascontiguousarray(K, dtype=np.float64)
     if len(indptr) != len(verts) + 1 or len(w) != len(dst) or len(k) != len(a):
         raise ValueError("local_moves: indptr, verts, dst, w, a and k disagree in length")
     mv_v = np.empty(len(order), dtype=np.int64)
@@ -116,7 +130,7 @@ def local_moves(
     mv_d = np.empty(len(order), dtype=np.float64)
     got = _kernel(
         order, len(order), indptr, verts, len(verts), dst, w, len(dst),
-        a, k, len(a), K, len(K), lam, U, tol, mv_v, mv_c, mv_d,
+        a, k, len(a), K, len(K), lam, U, tol, int(apply), mv_v, mv_c, mv_d,
     )
     if got == -2:
         raise MemoryError("local_moves: no memory for the per-cluster sums")

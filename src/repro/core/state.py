@@ -100,13 +100,13 @@ _NO_WEIGHTS = np.empty(0, dtype="float64")
 # the driver, so the driver is cheaper below r = J·S/((S−1)·c). Measured on a
 # 4-core container, J ≈ 0.12 s (p50 of a no-op 4-task Python job in workers
 # that have imported this module).
-# - Vectorized sync kernel: c ≈ 0.05 µs per row (22–42 ms for orkut's 608k
-#   level-0 rows), giving about 3M rows. A size sweep of PAR-MOD sync (refine
-#   off, num_iter=4, max_levels=2) with level 0 in Spark against the driver
-#   took 1.74–1.87 against 1.17–1.28 s at 1.2M directed rows, 2.71–3.40
-#   against 2.39–2.60 s at 2.4M, and 4.35–5.03 against 4.72–5.05 s at 4.9M
-#   (the driver loses).
-# - Compiled async kernel (``kernel.local_moves``): c ≈ 0.015 µs per row
+# - The numpy sync pass the compiled loop replaced: c ≈ 0.05 µs per row
+#   (22–42 ms for orkut's 608k level-0 rows), giving about 3M rows. A size
+#   sweep of PAR-MOD sync (refine off, num_iter=4, max_levels=2) with level 0
+#   in Spark against the driver took 1.74–1.87 against 1.17–1.28 s at 1.2M
+#   directed rows, 2.71–3.40 against 2.39–2.60 s at 2.4M, and 4.35–5.03
+#   against 4.72–5.05 s at 4.9M (the driver loses).
+# - Compiled loop (``kernel.local_moves``), async: c ≈ 0.015 µs per row
 #   (6–9 ms for lj-lite's 418k level-0 rows), so its crossover is higher
 #   still. A sweep of PAR-CC async (λ=0.5, frontier vertices, refine,
 #   num_iter=4, max_levels=2, lj-lite-shaped graphs) with level 0 in Spark
@@ -114,7 +114,10 @@ _NO_WEIGHTS = np.empty(0, dtype="float64")
 #   against the driver took 2.42–4.93 against 1.21–1.42 s at 1.2M directed
 #   rows, 3.57–3.82 against 2.19–2.51 s at 2.4M, and 5.89–6.40 against
 #   5.40–5.78 s at 4.9M (the driver still wins).
-# The sync kernel's crossover sets the one bound for both kernels: 2^21.
+# - Compiled loop, sync (updates off): c ≈ 0.008 µs per row (3.6–5.3 ms per
+#   pass over orkut's level-0 rows), so its crossover is higher still, too.
+# The numpy sync pass's crossover set the one bound for both modes, 2^21; it
+# has not been re-swept since the sync pass was compiled.
 DRIVER_ROWS = 1 << 21
 
 
@@ -174,11 +177,17 @@ def route(
 def aggregate(
     src: np.ndarray, dst: np.ndarray, w: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sum ``w`` per distinct ``(src, dst)``; rows come out sorted by src, then dst."""
-    order = np.lexsort((dst, src))
-    src, dst, w = src[order], dst[order], w[order]
+    """Sum ``w`` per distinct ``(src, dst)``; rows come out sorted by src, then dst.
+
+    The ids are dense cluster ids, so one stable sort of the packed key
+    ``src · (max dst + 1) + dst`` orders the rows as a lexsort by ``(src,
+    dst)`` would, each group's rows in input order. The key is exact while
+    (max src + 1) · (max dst + 1) < 2^63, e.g. for ids below 2^31.
+    """
     if len(src) == 0:
         return src, dst, w
+    order = np.argsort(src * (int(dst.max()) + 1) + dst, kind="stable")
+    src, dst, w = src[order], dst[order], w[order]
     new = np.ones(len(src), dtype=bool)
     new[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
     starts = np.flatnonzero(new)

@@ -134,7 +134,7 @@ def pandas_compress(
 
 
 def numpy_local_moves(
-    order, b, a, K, k, lam, U, tol, n
+    order, b, a, K, k, lam, U, tol, n, apply=True
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Immediate best moves of the block rows in ``order``, one numpy call per vertex.
 
@@ -142,7 +142,9 @@ def numpy_local_moves(
     clusters come from ``np.unique`` (ascending), so ``argmax`` breaks ties
     toward the smallest id; detaching into ``U + v`` wins only when strictly better. ``a`` and
     ``K`` are copied, not changed; ``K`` may stop at label ``U`` or cover
-    labels up to ``U + n``.
+    labels up to ``U + n``. ``np.bincount`` sums each cluster's weight in
+    row order. With ``apply=False`` no move updates the copies, so every
+    vertex is scored against the same snapshot.
     """
     verts, indptr, dst_s, w_s = b.verts, b.indptr, b.dst, b.w
     local_a = a.copy()
@@ -172,9 +174,10 @@ def numpy_local_moves(
         if d_iso > best_d:
             best_d, best_c = d_iso, U + v
         if best_d > tol:
-            local_K[cv] -= kv
-            local_K[best_c] += kv
-            local_a[v] = best_c
+            if apply:
+                local_K[cv] -= kv
+                local_K[best_c] += kv
+                local_a[v] = best_c
             mv_v.append(v)
             mv_c.append(best_c)
             mv_d.append(float(best_d))
@@ -203,6 +206,19 @@ def numpy_async_block_moves(
     return numpy_local_moves(active, b, a, K, k, lam, U, tol, n)
 
 
+def numpy_sync_block_moves(
+    b, a, K, k, lam, U, tol, all_active, aux, extra
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``par_louvain._sync_block_moves`` with the :func:`numpy_local_moves` loop, updates off.
+
+    Same frontier and the same row order as the engine's pass.
+    """
+    from repro.core.par_louvain import _active_verts
+
+    active = np.flatnonzero(_active_verts(b, all_active, aux, extra))
+    return numpy_local_moves(active, b, a, K, k, lam, U, tol, len(a), apply=False)
+
+
 def repartition_reference(spark, g: GenGraph, partitions: int):
     """Both directions of ``g``'s edges through ``createDataFrame`` + ``repartition(P, "src")``.
 
@@ -222,8 +238,11 @@ def lexsort_sync_block_moves(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Best move per active vertex against a snapshot, selected by two lexsorts.
 
-    The reference for ``par_louvain._sync_block_moves``: ``state.aggregate``
-    sums each active vertex's weight per neighbouring cluster, and a
+    A second reference for ``par_louvain._sync_block_moves``, built
+    differently from :func:`numpy_sync_block_moves`: ``state.aggregate``
+    sums each active vertex's weight per neighbouring cluster (pairwise, by
+    ``np.add.reduceat``, so fractional sums may differ in the last bit from
+    the row-order sums of the engine), and a
     ``(vertex, −Δ, cluster)`` lexsort picks the largest Δ, ties to the
     smallest cluster id; detaching into ``U + v`` wins only when strictly
     better.

@@ -1,8 +1,11 @@
 """The move kernels, checked move for move against their references: the
 compiled local-move kernel (core.kernel.local_moves) against the numpy-per-vertex
-loop (tests.helpers.numpy_local_moves), and the synchronous block kernel
-(par_louvain._sync_block_moves) against its lexsort selection
-(tests.helpers.lexsort_sync_block_moves)."""
+loop (tests.helpers.numpy_local_moves), in both block passes, and the
+synchronous block pass (par_louvain._sync_block_moves) also against a lexsort
+selection (tests.helpers.lexsort_sync_block_moves)."""
+import re
+import subprocess
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from tests.helpers import (
     lexsort_sync_block_moves,
     numpy_async_block_moves,
     numpy_local_moves,
+    numpy_sync_block_moves,
 )
 
 
@@ -228,9 +232,60 @@ class TestLocalMoves:
         with pytest.raises(ValueError):
             local_moves(np.array([0]), indptr[:2], dst, w, verts, a, K, k, 0.1, 2, 1e-9)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_without_apply_reads_a_snapshot(self, seed):
+        """``apply=False`` writes nothing to ``a`` or ``K``, takes read-only
+        arrays (as a Spark broadcast may hand them) and a ``K`` of length U
+        although detach labels U + v lie past it, and scores every vertex
+        against the snapshot, as the numpy loop with updates off does."""
+        n = 120
+        a, U, K, k = _state(seed, n, 3, unit_k=False)
+        assert len(K) == U
+        a_bytes, K_bytes = a.tobytes(), K.tobytes()
+        for arr in (a, K):
+            arr.flags.writeable = False
+        detached = False
+        for b in _blocks(seed, n, 300, unit=False):
+            order = np.arange(len(b.verts))
+            args = (b.indptr, b.dst, b.w, b.verts, a, K, k, 3.0, U, 1e-9)
+            got = local_moves(order, *args, apply=False)
+            _assert_same(got, numpy_local_moves(order, b, a, K, k, 3.0, U, 1e-9, n, apply=False))
+            detached |= bool((got[1] >= U).any())
+        assert detached
+        assert a.tobytes() == a_bytes and K.tobytes() == K_bytes
+
+    def test_apply_rejects_read_only_state(self):
+        """Moves are applied in place, so read-only ``a`` or ``K`` is refused, not copied."""
+        indptr, dst, w, verts = np.array([0, 1, 2]), np.array([1, 0]), np.ones(2), np.arange(2)
+        k = np.ones(2)
+        for frozen in ("a", "K"):
+            state = {"a": np.arange(2), "K": np.ones(5)}
+            state[frozen].flags.writeable = False
+            with pytest.raises(TypeError):
+                local_moves(
+                    np.array([0]), indptr, dst, w, verts, state["a"], state["K"], k, 0.1, 2, 1e-9
+                )
+
 
 class TestBuild:
-    """``kernel._load`` builds a source once into its ``__pycache__`` and reports a failed build."""
+    """``kernel._load`` builds a source once into its ``__pycache__`` and reports
+    a failed build; the C signature matches the ctypes declaration."""
+
+    def test_argtypes_match_c_parameters(self):
+        """ctypes does not check a declaration against the C function: a
+        parameter added on one side only would shift every later argument."""
+        source = kernel._SOURCE.read_text()
+        params = re.search(r"int64_t local_moves\((.*?)\)\s*\{", source, re.S).group(1)
+        assert len(params.split(",")) == len(kernel._kernel.argtypes)
+
+    def test_builds_without_warnings(self, tmp_path):
+        build = subprocess.run(
+            ["cc", *kernel._FLAGS, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "k.so"),
+             str(kernel._SOURCE)],
+            capture_output=True,
+            text=True,
+        )
+        assert build.returncode == 0, build.stderr
 
     def test_builds_once_and_leaves_no_partial_file(self, tmp_path, monkeypatch):
         source = tmp_path / "kernel.c"
@@ -254,7 +309,22 @@ class TestBuild:
 
 
 class TestSyncBlockPass:
-    """``_sync_block_moves`` (one stable sort, segment max) against the lexsort selection."""
+    """``_sync_block_moves`` (the compiled loop with updates off) against the
+    numpy loop with updates off, exactly, and against the lexsort selection.
+    The lexsort reference sums pairwise, so on fractional weights it is held
+    to the same vertices and labels and to deltas within rel 1e-12."""
+
+    @staticmethod
+    def _check(*args, exact_lexsort=True):
+        got = _sync_block_moves(*args)
+        _assert_same(got, numpy_sync_block_moves(*args))
+        lex = lexsort_sync_block_moves(*args)
+        if exact_lexsort:
+            _assert_same(got, lex)
+        else:
+            _assert_same(got[:2], lex[:2])
+            np.testing.assert_allclose(got[2], lex[2], rtol=1e-12, atol=0)
+        return got
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("clusters", [5, 40, 120])
@@ -263,10 +333,8 @@ class TestSyncBlockPass:
         n = 120
         a, U, K, k = _state(seed, n, clusters, unit_k=True)
         for b in _blocks(seed, n, 400, unit=True):
-            args = (b, a, K, k, 0.5, U, 1e-9, True, None, None)
-            got = _sync_block_moves(*args)
+            got = self._check(b, a, K, k, 0.5, U, 1e-9, True, None, None)
             assert len(got[0]) > 0
-            _assert_same(got, lexsort_sync_block_moves(*args))
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("lam", [0.05, 0.3, 0.9])
@@ -278,8 +346,7 @@ class TestSyncBlockPass:
         extra = rng.random(n) < 0.05  # skipped or affected vertices
         for b in _blocks(seed, n, 500, unit=False):
             for frontier in ((True, None, None), (False, aux, extra), (False, None, extra)):
-                args = (b, a, K, k, lam, U, 1e-9, *frontier)
-                _assert_same(_sync_block_moves(*args), lexsort_sync_block_moves(*args))
+                self._check(b, a, K, k, lam, U, 1e-9, *frontier, exact_lexsort=False)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_labels_at_least_u(self, seed):
@@ -291,10 +358,8 @@ class TestSyncBlockPass:
         a = np.where(detached, U + np.arange(n), a)
         K = np.bincount(a, weights=k, minlength=U + n + 1)
         for b in _blocks(seed, n, 350, unit=True):
-            args = (b, a, K, k, 0.5, U, 1e-9, True, None, None)
-            got = _sync_block_moves(*args)
+            got = self._check(b, a, K, k, 0.5, U, 1e-9, True, None, None)
             assert (got[1] >= U).any()
-            _assert_same(got, lexsort_sync_block_moves(*args))
 
     def test_empty_frontier(self):
         n = 60
@@ -302,6 +367,5 @@ class TestSyncBlockPass:
         nobody = np.zeros(n, dtype=bool)
         for b in _blocks(0, n, 200, unit=True):
             for frontier in ((False, None, None), (False, nobody, nobody)):
-                got = _sync_block_moves(b, a, K, k, 0.5, U, 1e-9, *frontier)
+                got = self._check(b, a, K, k, 0.5, U, 1e-9, *frontier)
                 assert [len(x) for x in got] == [0, 0, 0]
-                _assert_same(got, lexsort_sync_block_moves(b, a, K, k, 0.5, U, 1e-9, *frontier))

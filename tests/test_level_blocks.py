@@ -441,6 +441,33 @@ class TestCoarseBlock:
             np.testing.assert_array_equal(getattr(got, field), getattr(exp, field))
 
 
+def _lexsort_aggregate(src, dst, w):
+    """``state.aggregate`` as a lexsort by ``(src, dst)``, then one ``reduceat``."""
+    order = np.lexsort((dst, src))
+    src, dst, w = src[order], dst[order], w[order]
+    if len(src) == 0:
+        return src, dst, w
+    new = np.ones(len(src), dtype=bool)
+    new[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+    starts = np.flatnonzero(new)
+    return src[starts], dst[starts], np.add.reduceat(w, starts)
+
+
+class TestAggregate:
+    @pytest.mark.parametrize(
+        "n_src, n_dst, rows",
+        [(50, 7, 2000), (7, 50, 2000), (3000, 3000, 5000), (1, 1, 40), (5, 5, 0)],
+    )
+    def test_matches_lexsort_bit_for_bit(self, n_src, n_dst, rows):
+        """The packed-key sort gives the lexsort's rows, in its order, with the
+        same sums: groups of fractional weights are summed in the same order."""
+        rng = np.random.default_rng(n_src + n_dst + rows)
+        src, dst = rng.integers(0, n_src, rows), rng.integers(0, n_dst, rows)
+        w = rng.uniform(0.1, 2.0, rows)
+        for got, exp in zip(state.aggregate(src, dst, w), _lexsort_aggregate(src, dst, w)):
+            assert got.dtype == exp.dtype and got.tobytes() == exp.tobytes()
+
+
 class TestStorageHygiene:
     @pytest.mark.parametrize("cached", [True, False])
     def test_caller_storage_left_alone(self, spark, small_graph, cached):

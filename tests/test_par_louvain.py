@@ -2,13 +2,14 @@
 dataflow vertex program, all three §3.2 optimization axes, and agreement
 with the sequential engine."""
 import hashlib
+import types
 
 import networkx as nx
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core import state
+from repro.core import par_louvain, seq_louvain, state
 from repro.core.config import CCConfig
 from repro.core.par_louvain import best_moves, parallel_cc
 from repro.core.seq_louvain import sequential_cc
@@ -169,6 +170,39 @@ class TestParallelCC:
         # Same engine, same seed: identical clustering either way.
         np.testing.assert_array_equal(a1, a2)
         assert s1.objective == pytest.approx(s2.objective, rel=1e-9)
+
+
+class TestTotalTime:
+    def test_both_engines_time_level0_and_objective(self, spark, monkeypatch):
+        """PAR and SEQ time the same span, from the level-0 build to the final
+        objective: on a clock that only those steps advance, each engine's
+        total is everything they added."""
+        clock = [0.0]
+
+        def ticking(fn):
+            def run(*args, **kwargs):
+                clock[0] += 1.0
+                return fn(*args, **kwargs)
+
+            return run
+
+        for module, name in (
+            (par_louvain, "level0"),
+            (par_louvain, "cc_objective"),
+            (seq_louvain, "build_csr"),
+            (seq_louvain, "cc_objective"),
+        ):
+            monkeypatch.setattr(module, name, ticking(getattr(module, name)))
+        for module in (par_louvain, seq_louvain):
+            monkeypatch.setattr(module, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+        g = planted_partition(200, avg_deg=6, mixing=0.3, seed=3)
+        cfg = CCConfig(resolution=0.3, num_iter=3, seed=4, partitions=2)
+        gd = to_spark(spark, g, partitions=2)
+        for run in (lambda: parallel_cc(gd, cfg), lambda: sequential_cc(g, cfg)):
+            clock[0] = 0.0
+            _, stats = run()
+            assert clock[0] >= 2.0
+            assert stats.total_time == clock[0]
 
 
 class TestSyncVsAsync:
