@@ -6,9 +6,10 @@ triangles it participates in, normalized by its endpoints' degrees
 threshold θ, and return the connected components of what remains. The θ
 sweep trades precision against recall (paper Figure 10).
 
-All heavy steps run as DataFrame ops: triangle counting
-(``repro.graphs.triangles``), the normalization join, and connected
-components (``repro.graphs.components``).
+Triangle counting (``repro.graphs.triangles``) and the normalization join
+run as DataFrame ops. The pruned graph is held as the engine's level 0
+(:func:`~repro.core.state.level0`), and its connected components are
+found by min-label propagation over the level's blocks.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import numpy as np
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from ..graphs.components import connected_components
+from ..core.state import Block, level0
 from ..graphs.ops import GraphData, by_src
 from ..graphs.triangles import edge_triangle_counts
 
@@ -43,6 +44,39 @@ def tectonic_weights(g: GraphData) -> DataFrame:
             (2.0 * F.col("tri") / (F.col("du") + F.col("dv"))).alias("score"),
         )
     )
+
+
+def _min_nbr_label(b: Block, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per source vertex of ``b``: the min label over its neighbors."""
+    return b.verts, np.minimum.reduceat(labels[b.dst], b.indptr[:-1])
+
+
+def connected_components(g: GraphData, *, max_rounds: int = 60) -> np.ndarray:
+    """Label each vertex with the min vertex id of its component.
+
+    ``g`` is held as a level 0 of ``defaultParallelism`` blocks: in the
+    driver below ``state.DRIVER_ROWS`` rows, else a persisted block RDD,
+    released however the call ends. Each round takes every vertex's min
+    neighbor label in one block step, then jumps pointers in the driver
+    (lbl(v) ← lbl(lbl(v)), O(log diameter) rounds instead of O(diameter)).
+    It stops after the round whose min-neighbor step changed nothing.
+    Returns a dense numpy int64 array of length n; isolated vertices keep
+    their own id as label.
+    """
+    level = level0(g, partitions=g.edges.sparkSession.sparkContext.defaultParallelism)
+    labels = np.arange(g.n, dtype="int64")
+    try:
+        for _ in range(max_rounds):
+            new = labels.copy()
+            for verts, nbr in level.map_blocks(_min_nbr_label, labels):
+                new[verts] = np.minimum(new[verts], nbr)
+            changed = bool((new != labels).any())
+            labels = np.minimum(new, new[new])
+            if not changed:
+                break
+    finally:
+        level.unpersist()
+    return labels
 
 
 def cluster_from_weights(

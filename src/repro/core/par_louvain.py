@@ -36,7 +36,9 @@ a vertex's edges are co-located, "has a neighbor in the moved set" is
 computable per partition from the broadcast mask, so no separate
 frontier job runs (the EDGEMAP role from GBBS). Multi-level refinement
 (§3.2.3, Alg. 1 line 9) re-runs BEST-MOVES per level while unwinding;
-without it the final objective is scored on the deepest level.
+without it the final objective is scored on the deepest level. SEQ-CC
+runs the same recursion (:func:`louvain`) with its own sweep and
+compression steps.
 
 Every vertex may also *detach* into a fresh singleton cluster (label
 ``U + v`` in the pre-densify label space), which matters for large λ.
@@ -44,6 +46,7 @@ Every vertex may also *detach* into a fresh singleton cluster (label
 from __future__ import annotations
 
 import time
+from typing import Callable
 
 import numpy as np
 import pandas as pd
@@ -310,22 +313,28 @@ def _compress_driver_python(
     return coarsened(level, assign_dense, n_clusters, child, partitions)
 
 
+# BEST-MOVES on one level: (level, assignment, λ, cfg, seed) → (dense
+# assignment, moves, iterations).
+MovesStep = Callable[[LevelGraph, np.ndarray, float, CCConfig, int], tuple[np.ndarray, int, int]]
+# Compression of a level by a dense clustering: (level, assignment, n_c) → child.
+CompressStep = Callable[[LevelGraph, np.ndarray, int], LevelGraph]
+
+
 def _recurse(
     level: LevelGraph,
     depth: int,
     lam: float,
     cfg: CCConfig,
     stats: RunStats,
-    compress_mode: str,
+    moves: MovesStep,
+    compress_step: CompressStep,
 ) -> np.ndarray:
-    """PARALLEL-CC (Algorithm 1 lines 1–11), recursive."""
+    """Algorithm 1 lines 1–11 (Algorithm 2 for SEQ), recursive, with the engine's steps."""
     lstats = LevelStats(n=level.n, m_directed=level.m_directed, driver=level.driver)
     stats.levels.append(lstats)
     seed_base = cfg.seed * 10_007 + depth * 1_000
     with Timer() as t:
-        assign, nmoves, iters = best_moves(
-            level, np.arange(level.n), lam, cfg, seed_base
-        )
+        assign, nmoves, iters = moves(level, np.arange(level.n), lam, cfg, seed_base)
     lstats.time_moves, lstats.iters, lstats.moves = t.s, iters, nmoves
     dense, nc = densify(assign)
     if nmoves == 0 or nc >= level.n or depth + 1 >= cfg.max_levels:
@@ -337,39 +346,40 @@ def _recurse(
             stats.objective = cc_objective(level, dense, lam)
         return dense
     with Timer() as t:
-        if compress_mode == "driver_python":
-            child = _compress_driver_python(level, dense, nc, partitions=cfg.partitions)
-        else:
-            child = compress(level, dense, nc, partitions=cfg.partitions)
+        child = compress_step(level, dense, nc)
     lstats.time_compress = t.s
     try:
-        child_assign = _recurse(child, depth + 1, lam, cfg, stats, compress_mode)
+        child_assign = _recurse(child, depth + 1, lam, cfg, stats, moves, compress_step)
     finally:
         child.unpersist()
     assign = flatten(dense, child_assign)
     if cfg.refine:
         with Timer() as t:
-            assign, rmoves, riters = best_moves(level, assign, lam, cfg, seed_base + 500)
+            assign, rmoves, riters = moves(level, assign, lam, cfg, seed_base + 500)
         lstats.time_refine, lstats.refine_iters, lstats.refine_moves = t.s, riters, rmoves
     return densify(assign)[0]
 
 
-def parallel_cc(
-    g: GraphData, cfg: CCConfig, *, compress_mode: str = "spark"
+def louvain(
+    algo: str,
+    n: int,
+    cfg: CCConfig,
+    build: Callable[[np.ndarray | None], LevelGraph],
+    moves: MovesStep,
+    compress_step: CompressStep,
 ) -> tuple[np.ndarray, RunStats]:
-    """Run PAR-CC / PAR-MOD on a graph; returns (assignment, stats).
+    """The multilevel run both engines make, around their own steps.
 
-    ``cfg.objective`` selects the vertex-weight/λ regime (§2); the
-    reported objective is the raw CC value for ``"cc"`` and modularity
-    ``Q = CC/(2W)`` for ``"modularity"``. The caller's edges are only
-    read, and every level built here is released before returning, also
-    when the call fails. ``stats.total_time`` runs from the level-0 build
-    to the final objective, the span ``sequential_cc`` times.
+    ``build(k)`` makes level 0 with vertex weights ``k`` (``None``: the
+    weighted degrees, modularity's ``k_v``). The reported objective is the
+    raw CC value for ``"cc"`` and modularity ``Q = CC/(2W)`` for
+    ``"modularity"``. Every level is released before returning, also when
+    the call fails. ``stats.total_time`` runs from the level-0 build to the
+    final objective.
     """
     modularity = cfg.objective == "modularity"
     t0 = time.perf_counter()
-    # Modularity's vertex weights are the weighted degrees (k=None).
-    lvl0 = level0(g, None if modularity else np.ones(g.n), partitions=cfg.partitions)
+    lvl0 = build(None if modularity else np.ones(n))
     try:
         two_w = float(lvl0.deg.sum())
         if modularity:
@@ -377,8 +387,8 @@ def parallel_cc(
         else:
             lam = cfg.resolution
         tasks = 0 if lvl0.driver else lvl0.blocks.getNumPartitions()
-        stats = RunStats(algo=f"par-{cfg.objective}", lam=lam, two_w=two_w, tasks=tasks)
-        assign = _recurse(lvl0, 0, lam, cfg, stats, compress_mode)
+        stats = RunStats(algo=f"{algo}-{cfg.objective}", lam=lam, two_w=two_w, tasks=tasks)
+        assign = _recurse(lvl0, 0, lam, cfg, stats, moves, compress_step)
         if cfg.refine:
             stats.objective = cc_objective(lvl0, assign, lam)
         stats.total_time = time.perf_counter() - t0
@@ -389,3 +399,23 @@ def parallel_cc(
     )
     stats.n_clusters = int(assign.max()) + 1 if len(assign) else 0
     return assign, stats
+
+
+def parallel_cc(
+    g: GraphData, cfg: CCConfig, *, compress_mode: str = "spark"
+) -> tuple[np.ndarray, RunStats]:
+    """Run PAR-CC / PAR-MOD on a graph; returns (assignment, stats).
+
+    ``cfg.objective`` selects the vertex-weight/λ regime (§2). The
+    caller's edges are only read. ``compress_mode="driver_python"`` runs
+    the single-threaded compression instead of ``state.compress``.
+    """
+    compress_fn = _compress_driver_python if compress_mode == "driver_python" else compress
+    return louvain(
+        "par",
+        g.n,
+        cfg,
+        lambda k: level0(g, k, partitions=cfg.partitions),
+        best_moves,
+        lambda level, dense, nc: compress_fn(level, dense, nc, partitions=cfg.partitions),
+    )

@@ -8,15 +8,15 @@ consistent cluster weights — the sequential dependency the paper proves
 P-complete to parallelize). Sweeps repeat while the objective increases,
 capped at ``num_iter`` unless ``to_convergence`` (the paper's SEQ^CON
 superscript). The move kernel, compression, objective, flattening, the
-neighbors-of-moved-vertices frontier, and multi-level refinement are the
-parallel engine's (§4.2 notes the sequential baselines include the
-applicable optimizations); SEQ differs from PAR only in scheduling.
+neighbors-of-moved-vertices frontier, and the multilevel recursion with
+its refinement (``par_louvain.louvain``, handed SEQ's sweep and
+compression steps) are the parallel engine's (§4.2 notes the sequential
+baselines include the applicable optimizations); SEQ differs from PAR
+only in scheduling.
 
 SEQ-CC / SEQ-MOD run here; PAR-CC / PAR-MOD in ``par_louvain``.
 """
 from __future__ import annotations
-
-import time
 
 import numpy as np
 import pandas as pd
@@ -24,13 +24,11 @@ import pandas as pd
 from ..graphs.gen import GenGraph
 from .config import CCConfig
 from .kernel import local_moves
+from .par_louvain import louvain
 from .state import (
     LevelGraph,
-    LevelStats,
     RunStats,
-    Timer,
     base_level,
-    cc_objective,
     cluster_weights,
     compress,
     densify,
@@ -100,56 +98,18 @@ def compress_csr(level: LevelGraph, assign_dense: np.ndarray, n_clusters: int) -
     return compress(level, assign_dense, n_clusters, partitions=1)
 
 
-def _recurse_seq(
-    level: LevelGraph,
-    depth: int,
-    lam: float,
-    cfg: CCConfig,
-    stats: RunStats,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    lstats = LevelStats(n=level.n, m_directed=level.m_directed, driver=level.driver)
-    stats.levels.append(lstats)
-    with Timer() as t:
-        assign, nmoves, sweeps = _sweeps(level, np.arange(level.n), lam, cfg, rng)
-    lstats.time_moves, lstats.iters, lstats.moves = t.s, sweeps, nmoves
-    dense, nc = densify(assign)
-    if nmoves == 0 or nc >= level.n or depth + 1 >= cfg.max_levels:
-        return dense
-    with Timer() as t:
-        child = compress_csr(level, dense, nc)
-    lstats.time_compress = t.s
-    child_assign = _recurse_seq(child, depth + 1, lam, cfg, stats, rng)
-    assign = dense
-    assign = child_assign[assign]  # SEQUENTIAL-FLATTEN
-    if cfg.refine:
-        with Timer() as t:
-            assign, rmoves, rsweeps = _sweeps(level, assign, lam, cfg, rng)
-        lstats.time_refine, lstats.refine_iters, lstats.refine_moves = t.s, rsweeps, rmoves
-    return densify(assign)[0]
-
-
 def sequential_cc(g: GenGraph, cfg: CCConfig) -> tuple[np.ndarray, RunStats]:
     """Run SEQ-CC / SEQ-MOD on a generated graph; returns (assignment, stats).
 
-    ``stats.total_time`` runs from the level-0 build to the final
-    objective, the span ``parallel_cc`` times.
+    The recursion, objective and stats are ``par_louvain.louvain``'s, with
+    SEQ's steps: one random stream feeds every sweep, in recursion order.
     """
-    modularity = cfg.objective == "modularity"
-    t0 = time.perf_counter()
-    lvl0 = build_csr(g.edges, g.n, None if modularity else np.ones(g.n))
-    two_w = float(lvl0.deg.sum())
-    if modularity:
-        lam = cfg.resolution / two_w if two_w > 0 else 0.0
-    else:
-        lam = cfg.resolution
     rng = np.random.default_rng(cfg.seed)
-    stats = RunStats(algo=f"seq-{cfg.objective}", lam=lam, two_w=two_w)
-    assign = _recurse_seq(lvl0, 0, lam, cfg, stats, rng)
-    stats.objective = cc_objective(lvl0, assign, lam)
-    stats.total_time = time.perf_counter() - t0
-    stats.reported_objective = (
-        stats.objective / two_w if modularity and two_w > 0 else stats.objective
+    return louvain(
+        "seq",
+        g.n,
+        cfg,
+        lambda k: build_csr(g.edges, g.n, k),
+        lambda level, assign, lam, cfg, _seed: _sweeps(level, assign, lam, cfg, rng),
+        compress_csr,
     )
-    stats.n_clusters = int(assign.max()) + 1 if len(assign) else 0
-    return assign, stats

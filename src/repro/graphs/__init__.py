@@ -1,1 +1,1 @@
-"""Graph substrate: generators, basic ops, connected components, triangles."""
+"""Graph substrate: generators, basic ops, triangles."""

@@ -2,6 +2,7 @@
 import ast
 import hashlib
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,10 @@ import pandas as pd
 import pytest
 
 from repro.core.config import CCConfig
+from repro.core.par_louvain import parallel_cc
 from repro.core.seq_louvain import _sweeps, build_csr, sequential_cc
 from repro.graphs.gen import GenGraph, karate, lite_graph, planted_partition
+from repro.graphs.ops import to_spark
 
 from tests.helpers import brute_cc, numpy_reported_objective, small_weighted_graph
 
@@ -174,6 +177,27 @@ class TestPinnedOutputs:
         assert _assign_hash(assign) == expected_hash
         assert stats.reported_objective == expected_objective
 
+    @pytest.mark.parametrize(
+        "cfg, expected_hash, expected_objective",
+        [
+            (CCConfig(resolution=0.3, num_iter=5, seed=5), "5b2cad05d05f52b9", 688.6),
+            (CCConfig(resolution=0.3, num_iter=5, seed=5, refine=False),
+             "726bce004fbee72c", 676.6),
+            (CCConfig(resolution=1.0, objective="modularity", num_iter=5, seed=5),
+             "8440500b2dfca465", 0.5985649877817281),
+            (CCConfig(resolution=1.0, objective="modularity", num_iter=5, seed=5, refine=False),
+             "f15fea162b71ab40", 0.5863036753591574),
+        ],
+        ids=["cc", "cc-norefine", "mod", "mod-norefine"],
+    )
+    def test_unit_weights(self, cfg, expected_hash, expected_objective):
+        """Unit weights keep every sum in the objective an exact integer, so the
+        refine-off objective is the same float whichever level it is scored on."""
+        g = planted_partition(600, avg_deg=8, mixing=0.3, seed=41)
+        assign, stats = sequential_cc(g, cfg)
+        assert _assign_hash(assign) == expected_hash
+        assert stats.reported_objective == expected_objective
+
 
 class TestEngineContract:
     """What the benchmark relies on: SEQ uses no Spark, and its traced names exist."""
@@ -214,14 +238,46 @@ class TestEngineContract:
     def test_traced_names_resolve(self):
         """Every engine function the benchmark's traced run wraps is still a
         module attribute, so a rename cannot silently break ``--trace 1``."""
-        layers = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
-        tree = ast.parse(layers.read_text())
-        (wrapped,) = [
-            ast.literal_eval(node.value)
-            for node in tree.body
-            if isinstance(node, ast.Assign)
-            and any(isinstance(t, ast.Name) and t.id == "WRAPPED" for t in node.targets)
-        ]
+        wrapped = _wrapped()
         assert {mod for mod, *_ in wrapped} == {"par_louvain", "seq_louvain"}
         for mod, attr, *_ in wrapped:
             assert callable(getattr(importlib.import_module(f"repro.core.{mod}"), attr))
+
+    def test_traced_names_called(self, spark, monkeypatch):
+        """The engines call every traced name through its module attribute at
+        call time, so the tracer's wrapper sees the calls. ``degree_array`` is
+        the exception: ``par_louvain`` keeps it only for the tracer."""
+        calls: Counter = Counter()
+
+        def counting(key, fn):
+            def run(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return run
+
+        wrapped = {(mod, attr) for mod, attr, *_ in _wrapped()}
+        for mod, attr in wrapped:
+            module = importlib.import_module(f"repro.core.{mod}")
+            monkeypatch.setattr(module, attr, counting((mod, attr), getattr(module, attr)))
+        g = planted_partition(300, avg_deg=6, mixing=0.3, seed=14)
+        cfg = CCConfig(resolution=0.3, num_iter=4, seed=9, partitions=4)
+        gd = to_spark(spark, g, partitions=4)
+        parallel_cc(gd, cfg)
+        parallel_cc(gd, cfg.with_(async_moves=False, refine=False))
+        sequential_cc(g, cfg)
+        missing = wrapped - {("par_louvain", "degree_array")} - set(calls)
+        assert missing == set()
+
+
+def _wrapped() -> list[tuple]:
+    """``perfbench/layers.py``'s ``WRAPPED``, read without importing the benchmark."""
+    layers = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    tree = ast.parse(layers.read_text())
+    (wrapped,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "WRAPPED" for t in node.targets)
+    ]
+    return wrapped
